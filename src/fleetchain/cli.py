@@ -374,9 +374,10 @@ def _cmd_workflow(args) -> int:
         for trip in inputs.values():
             if trip is None or isinstance(trip, str):
                 continue
-            trajectory = impute_trip(trip, settings.resolution_m)
+            # no name holds the trajectory, so it and its cached path profile
+            # are freed before the next trip is imputed
             conn, indep = run_scenarios(
-                trajectory,
+                impute_trip(trip, settings.resolution_m),
                 settings.platoon,
                 settings.emission,
                 seed=args.seed,

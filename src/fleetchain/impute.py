@@ -10,6 +10,7 @@ reproduce every knot exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -28,6 +29,8 @@ class ImputedTrajectory:
 
     ``resolution_m`` is None when the trajectory was produced with a fixed
     per-interval multiplication factor instead of spatial stepping.
+    ``path_profile`` is computed on first access and cached on the instance,
+    so every rollout over one trajectory shares it.
     """
 
     trip_id: str
@@ -42,6 +45,16 @@ class ImputedTrajectory:
             if b.timestamp <= a.timestamp:
                 raise ValueError("imputed timestamps must be strictly increasing")
         object.__setattr__(self, "channels", MappingProxyType(dict(self.channels)))
+
+    @cached_property
+    def path_profile(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Cumulative great-circle distance [m] at each point, starting at
+        0.0, and the speed at each point [m/s]."""
+        pts = self.points
+        cum = [0.0]
+        for a, b in zip(pts, pts[1:]):
+            cum.append(cum[-1] + haversine_m(a.latlon, b.latlon))
+        return tuple(cum), tuple(p.speed_kmh / 3.6 for p in pts)
 
 
 def fit_trip_channels(trip: Trip) -> dict[str, HermiteSpline]:

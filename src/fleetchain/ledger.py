@@ -223,13 +223,21 @@ def evaluate_rules(tx: AnchorTx, rules: Sequence[ContractRule]) -> AnchorTx | Re
 # --- chain ------------------------------------------------------------------
 
 class Chain:
-    """In-memory block sequence; ``imported`` chains carry reduced
-    transaction fields (see :func:`import_chain`) and skip id re-hashing
-    during verification."""
+    """In-memory block sequence with a ``tx_id -> height`` index.
+
+    The constructor indexes the blocks it is given; after that
+    :func:`append_anchor` is the only appender and keeps the index current.
+    When an id occurs more than once the index holds its first height.
+    ``imported`` chains carry reduced transaction fields (see
+    :func:`import_chain`) and skip id re-hashing during verification."""
 
     def __init__(self, blocks: Iterable[Block] = (), imported: bool = False) -> None:
         self.blocks: list[Block] = list(blocks)
         self.imported = imported
+        self.tx_heights: dict[str, int] = {}
+        for height, block in enumerate(self.blocks):
+            for tx in block.tx_list:
+                self.tx_heights.setdefault(tx.tx_id, height)
 
     @property
     def tip_hash(self) -> str:
@@ -240,13 +248,18 @@ class Chain:
         return len(self.blocks)
 
     def tx_ids(self) -> set[str]:
-        return {tx.tx_id for block in self.blocks for tx in block.tx_list}
+        return set(self.tx_heights)
 
     def find_tx(self, tx_id: str) -> tuple[Block, AnchorTx] | None:
-        for block in self.blocks:
-            for tx in block.tx_list:
-                if tx.tx_id == tx_id:
-                    return block, tx
+        """The block at the indexed height and its first tx with this id;
+        a block swapped into ``blocks`` since is the one returned."""
+        height = self.tx_heights.get(tx_id)
+        if height is None:
+            return None
+        block = self.blocks[height]
+        for tx in block.tx_list:
+            if tx.tx_id == tx_id:
+                return block, tx
         return None
 
 
@@ -265,7 +278,7 @@ def append_anchor(
     Duplicate transaction ids are rejected before rule evaluation.  When a
     ``cluster`` is given the block only links after the round decides.
     """
-    if tx.tx_id in chain.tx_ids():
+    if tx.tx_id in chain.tx_heights:
         return Rejection(reason=f"duplicate tx_id {tx.tx_id}")
     outcome = evaluate_rules(tx, rules)
     if isinstance(outcome, Rejection):
@@ -273,6 +286,7 @@ def append_anchor(
     block = make_block(chain.height, chain.tip_hash, [outcome])
     if cluster is not None and not cluster.propose(block):
         return Rejection(reason="consensus round did not decide")
+    chain.tx_heights.setdefault(outcome.tx_id, chain.height)
     chain.blocks.append(block)
     return block
 

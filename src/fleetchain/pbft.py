@@ -72,7 +72,10 @@ class ValidatorNode:
         return view % self.n == self.id
 
     def _slot(self, view: int, seq: int) -> dict[str, dict[int, str]]:
-        return self.log.setdefault((view, seq), {ph: {} for ph in PHASES})
+        slot = self.log.get((view, seq))
+        if slot is None:
+            slot = self.log[(view, seq)] = {ph: {} for ph in PHASES}
+        return slot
 
     def _accepted_digest(self, view: int, seq: int) -> str | None:
         primary = view % self.n

@@ -7,6 +7,9 @@ exactly at a fixed headway, so per-truck travel times coincide.  In the
 not-connected scenario each truck drives independently with seeded
 multiplicative speed noise and no discounts.
 
+Every rollout reads the trajectory's cached ``path_profile``, so the
+rollouts of one calibration or scenario pair share one profile.
+
 Emission rates follow a quadratic in speed.  By default the reported
 per-truck emission figure is the cumulated amount divided by travel time
 (a time-averaged rate); pass ``cumulative=True`` for the raw total.
@@ -19,7 +22,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .geo import haversine_m
 from .impute import ImputedTrajectory
 
 ROLE_LEADER = "leader"
@@ -182,15 +184,6 @@ def generate_demand(
     return schedule, veh_nr
 
 
-def _path_profile(trajectory: ImputedTrajectory) -> tuple[list[float], list[float]]:
-    pts = trajectory.points
-    cum = [0.0]
-    for a, b in zip(pts, pts[1:]):
-        cum.append(cum[-1] + haversine_m(a.latlon, b.latlon))
-    speeds = [p.speed_kmh / 3.6 for p in pts]
-    return cum, speeds
-
-
 def simulate_convoy(
     trajectory: ImputedTrajectory,
     trucks: Sequence[TruckSpec],
@@ -209,7 +202,7 @@ def simulate_convoy(
     """
     if len(trucks) != 3:
         raise ValueError(f"expected 3 trucks, got {len(trucks)}")
-    cum, speeds = _path_profile(trajectory)
+    cum, speeds = trajectory.path_profile
     total = cum[-1]
     if total <= 0.0:
         raise ValueError("trajectory has zero path length")

@@ -211,6 +211,57 @@ def test_duplicate_tx_rejected_before_rules(volume):
     assert chain.height == 1
 
 
+def test_duplicate_rejected_on_imported_chain(volume):
+    chain, txs = build_chain(volume, 3)
+    imported = import_chain(export_chain(chain))
+    outcome = append_anchor(imported, txs[1])
+    assert isinstance(outcome, Rejection)
+    assert "duplicate" in outcome.reason
+    assert imported.height == 3
+
+
+def test_find_tx_returns_first_occurrence_on_import():
+    tx = anchor_tx(ref_of(), {}, "ops", 0.0)
+    b0 = make_block(0, ZERO_HASH, [tx])
+    b1 = make_block(1, b0.block_hash, [tx])
+    chain = import_chain(export_chain(Chain([b0, b1])))
+    block, _ = chain.find_tx(tx.tx_id)
+    assert block.height == 0
+
+
+def test_find_tx_returns_first_occurrence_of_annotated_duplicate():
+    # both transactions annotate to the same id, so it lands twice
+    rule = ContractRule(
+        "tag", trigger=lambda t: True, response=RESPONSE_ANNOTATE, annotation=("kind", "csv")
+    )
+    chain = Chain()
+    first = append_anchor(chain, anchor_tx(ref_of(), {"kind": "a"}, "ops", 0.0), [rule])
+    second = append_anchor(chain, anchor_tx(ref_of(), {"kind": "b"}, "ops", 0.0), [rule])
+    assert isinstance(first, Block) and isinstance(second, Block)
+    tx_id = first.tx_list[0].tx_id
+    assert second.tx_list[0].tx_id == tx_id
+    block, _ = chain.find_tx(tx_id)
+    assert block is first
+
+
+def test_find_tx_returns_swapped_in_block(volume):
+    chain, txs = build_chain(volume, 3)
+    victim = chain.blocks[1]
+    tx = victim.tx_list[0]
+    forged = AnchorTx(
+        tx_id=tx.tx_id,
+        content=ContentRef(tx.content.path, tx.content.digest, 999, tx.content.brick_ids),
+        index_meta=tx.index_meta,
+        submitter=tx.submitter,
+        timestamp=tx.timestamp,
+    )
+    swapped = Block(victim.height, victim.prev_hash, (forged,), victim.block_hash)
+    chain.blocks[1] = swapped
+    block, found = chain.find_tx(txs[1].tx_id)
+    assert block is swapped
+    assert found is forged
+
+
 def test_consensus_decline_blocks_append(volume):
     class Declines:
         def propose(self, block):

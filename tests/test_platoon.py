@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from fleetchain import impute, platoon
 from fleetchain.impute import impute_trip
 from fleetchain.platoon import (
     CALIBRATION_TOLERANCE,
@@ -238,6 +239,28 @@ def test_calibrate_with_noise_meets_tolerance():
     conn, indep = run_scenarios(traj, out, EM, seed=9)
     assert abs(travel_time_ratio(conn, indep) - 0.7833) <= CALIBRATION_TOLERANCE * 0.7833
     assert abs(emission_sum_ratio(conn, indep) - 0.8251) <= CALIBRATION_TOLERANCE * 0.8251
+
+
+def test_calibrate_computes_the_path_profile_once(monkeypatch):
+    traj = impute_trip(synthetic_trip("cal", length_km=3.0, n_points=40, seed=6), 10.0)
+    calls = {"haversine": 0, "rollout": 0}
+    haversine, rollout = impute.haversine_m, platoon.simulate_convoy
+
+    def counting_haversine(a, b):
+        calls["haversine"] += 1
+        return haversine(a, b)
+
+    def counting_rollout(*args, **kwargs):
+        calls["rollout"] += 1
+        return rollout(*args, **kwargs)
+
+    monkeypatch.setattr(impute, "haversine_m", counting_haversine)
+    monkeypatch.setattr(platoon, "simulate_convoy", counting_rollout)
+    targets = CalibrationTargets(travel_time_ratio=0.7833, emission_sum_ratio=0.8251)
+    calibrate(traj, PlatoonConfig(), EM, seed=9, targets=targets)
+    run_scenarios(traj, PlatoonConfig(), EM, seed=9)
+    assert calls["rollout"] > 50
+    assert calls["haversine"] == len(traj.points) - 1
 
 
 def test_calibrate_rejects_targets_above_one():
