@@ -374,8 +374,8 @@ def _cmd_workflow(args) -> int:
         for trip in inputs.values():
             if trip is None or isinstance(trip, str):
                 continue
-            # no name holds the trajectory, so it and its cached path profile
-            # are freed before the next trip is imputed
+            # no name holds the trajectory, so it and its path profile are
+            # freed before the next trip is imputed
             conn, indep = run_scenarios(
                 impute_trip(trip, settings.resolution_m),
                 settings.platoon,

@@ -9,6 +9,9 @@ Knot slopes come from a monotone rule: the weighted harmonic mean of the
 two adjacent secant slopes, zeroed when the secants disagree in sign, with
 one-sided three-point estimates at the ends.  The resulting interpolant is
 C1 and never overshoots the data on monotone stretches.
+
+Fits on shared knots, such as a trip's lat, lon and speed, can be evaluated
+together by ``JointHermite`` with one segment lookup per time.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ class SplineSegment:
     d: float
     t0: float
     t1: float
-    channel: str = ""
 
     def __post_init__(self) -> None:
         if not self.t1 > self.t0:
@@ -89,6 +91,13 @@ def shape_preserving_slopes(knots: Sequence[float], values: Sequence[float]) -> 
     return slopes
 
 
+def _domain_error(t: float, knots: Sequence[float], channel: str) -> ValueError:
+    return ValueError(
+        f"t={t} outside domain [{knots[0]}, {knots[-1]}] "
+        f"(channel {channel!r}); extrapolation is not supported"
+    )
+
+
 def _power_coefficients(
     p0: float, p1: float, m0: float, m1: float, h: float
 ) -> tuple[float, float, float, float]:
@@ -123,10 +132,7 @@ class HermiteSpline:
 
     def _segment_index(self, t: float) -> int:
         if t < self.knots[0] or t > self.knots[-1]:
-            raise ValueError(
-                f"t={t} outside domain [{self.knots[0]}, {self.knots[-1]}] "
-                f"(channel {self.channel!r}); extrapolation is not supported"
-            )
+            raise _domain_error(t, self.knots, self.channel)
         i = bisect_right(self.knots, t) - 1
         return min(i, len(self.segments) - 1)
 
@@ -161,6 +167,46 @@ class HermiteSpline:
         return ((d * s + c) * s + b) * s + a
 
 
+class JointHermite:
+    """Three fits on the same knots, evaluated with one segment lookup.
+
+    ``eval(t)`` returns what each fit's ``HermiteSpline.eval`` returns, bit
+    for bit: the same domain error (naming the first fit's channel), the
+    same knot-value short-cuts, segment clamp and Horner form.  The
+    arithmetic stays scalar so that no value moves by an ulp.
+    """
+
+    def __init__(self, first: HermiteSpline, second: HermiteSpline, third: HermiteSpline) -> None:
+        if not first.knots == second.knots == third.knots:
+            raise ValueError("joint evaluation needs fits on the same knots")
+        self._knots = first.knots
+        self._channel = first.channel
+        self._last = len(first.segments) - 1
+        self._knot_values = tuple(zip(first.values, second.values, third.values))
+        # per segment: t0, then (a, b, c, d) of each fit
+        self._coefficients = tuple(
+            (p.t0, p.a, p.b, p.c, p.d, q.a, q.b, q.c, q.d, r.a, r.b, r.c, r.d)
+            for p, q, r in zip(first.segments, second.segments, third.segments)
+        )
+
+    def eval(self, t: float) -> tuple[float, float, float]:
+        knots = self._knots
+        if t < knots[0] or t > knots[-1]:
+            raise _domain_error(t, knots, self._channel)
+        i = min(bisect_right(knots, t) - 1, self._last)
+        if t == knots[i]:
+            return self._knot_values[i]
+        if t == knots[i + 1]:
+            return self._knot_values[i + 1]
+        t0, a1, b1, c1, d1, a2, b2, c2, d2, a3, b3, c3, d3 = self._coefficients[i]
+        s = t - t0
+        return (
+            ((d1 * s + c1) * s + b1) * s + a1,
+            ((d2 * s + c2) * s + b2) * s + a2,
+            ((d3 * s + c3) * s + b3) * s + a3,
+        )
+
+
 def fit_hermite(
     knots: Sequence[float],
     values: Sequence[float],
@@ -174,7 +220,7 @@ def fit_hermite(
         values: one value per knot.
         slopes: optional explicit knot slopes; by default the monotone rule
             of :func:`shape_preserving_slopes` is used.
-        channel: label carried through to segments (e.g. "lat").
+        channel: label named in domain errors (e.g. "lat").
 
     Raises:
         ValueError: fewer than 2 knots, length mismatch, non-increasing
@@ -204,9 +250,7 @@ def fit_hermite(
     for i in range(len(ks) - 1):
         h = ks[i + 1] - ks[i]
         a, b, c, d = _power_coefficients(vs[i], vs[i + 1], ms[i], ms[i + 1], h)
-        segments.append(
-            SplineSegment(a=a, b=b, c=c, d=d, t0=ks[i], t1=ks[i + 1], channel=channel)
-        )
+        segments.append(SplineSegment(a=a, b=b, c=c, d=d, t0=ks[i], t1=ks[i + 1]))
     return HermiteSpline(
         knots=tuple(ks),
         values=tuple(vs),

@@ -5,18 +5,22 @@ shape-preserving cubic; new points are emitted by stepping along the path so
 that consecutive points are about ``resolution_m`` apart on the sphere.  The
 original samples stay interpolation constraints: the fitted channels
 reproduce every knot exactly.
+
+The three fits share their knots, so each probe evaluates them together
+with one segment lookup, and the accepted probe becomes the next point.
+Its distance from the previous point is the step the path profile needs,
+so the cumulative distance is recorded while stepping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
 from .fcd import GpsPoint, Trip
 from .geo import haversine_m
-from .hermite import HermiteSpline, fit_hermite
+from .hermite import HermiteSpline, JointHermite, fit_hermite
 
 # accepted deviation of point spacing from the requested resolution
 SPACING_TOLERANCE = 0.10
@@ -29,14 +33,17 @@ class ImputedTrajectory:
 
     ``resolution_m`` is None when the trajectory was produced with a fixed
     per-interval multiplication factor instead of spatial stepping.
-    ``path_profile`` is computed on first access and cached on the instance,
-    so every rollout over one trajectory shares it.
+    ``path_profile`` holds the cumulative great-circle distance [m] at each
+    point, starting at 0.0, and the speed at each point [m/s].  Imputation
+    records it while emitting the points, so every rollout over one
+    trajectory reads it without walking the points again.
     """
 
     trip_id: str
     points: tuple[GpsPoint, ...]
     resolution_m: float | None
     channels: Mapping[str, HermiteSpline]
+    path_profile: tuple[tuple[float, ...], tuple[float, ...]]
 
     def __post_init__(self) -> None:
         if len(self.points) < 2:
@@ -44,17 +51,9 @@ class ImputedTrajectory:
         for a, b in zip(self.points, self.points[1:]):
             if b.timestamp <= a.timestamp:
                 raise ValueError("imputed timestamps must be strictly increasing")
+        if any(len(column) != len(self.points) for column in self.path_profile):
+            raise ValueError("path profile needs one entry per point")
         object.__setattr__(self, "channels", MappingProxyType(dict(self.channels)))
-
-    @cached_property
-    def path_profile(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Cumulative great-circle distance [m] at each point, starting at
-        0.0, and the speed at each point [m/s]."""
-        pts = self.points
-        cum = [0.0]
-        for a, b in zip(pts, pts[1:]):
-            cum.append(cum[-1] + haversine_m(a.latlon, b.latlon))
-        return tuple(cum), tuple(p.speed_kmh / 3.6 for p in pts)
 
 
 def fit_trip_channels(trip: Trip) -> dict[str, HermiteSpline]:
@@ -67,60 +66,53 @@ def fit_trip_channels(trip: Trip) -> dict[str, HermiteSpline]:
     }
 
 
-def _point_at(channels: dict[str, HermiteSpline], t: float, trip_id: str) -> GpsPoint:
-    speed = channels["speed_kmh"].eval(t)
-    return GpsPoint(
-        timestamp=t,
-        lat=channels["lat"].eval(t),
-        lon=channels["lon"].eval(t),
-        # the fit cannot overshoot the sampled range, so only rounding noise
-        # can push a zero speed a few ulps negative
-        speed_kmh=max(speed, 0.0),
-        trip_id=trip_id,
-    )
+def _point(t: float, lat: float, lon: float, speed_kmh: float, trip_id: str) -> GpsPoint:
+    # the fit cannot overshoot the sampled range, so only rounding noise
+    # can push a zero speed a few ulps negative
+    return GpsPoint(timestamp=t, lat=lat, lon=lon, speed_kmh=max(speed_kmh, 0.0), trip_id=trip_id)
 
 
-def _next_step_time(
-    channels: dict[str, HermiteSpline],
+def _next_step(
+    fit: JointHermite,
     t: float,
+    speed_kmh: float,
     anchor: tuple[float, float],
     t_end: float,
     resolution_m: float,
-) -> float | None:
-    """First time after ``t`` at which the distance from ``anchor`` lands in
-    the accepted spacing band, or None when the trip ends first."""
+) -> tuple[float, float, float, float, float] | None:
+    """First probe after ``t`` whose distance from ``anchor`` lands in the
+    accepted spacing band, as ``(t, lat, lon, speed_kmh, distance_m)``, or
+    None when the trip ends first.  ``speed_kmh`` is the fitted speed at
+    ``t``; it sizes the first step."""
     lo = (1.0 - SPACING_TOLERANCE) * resolution_m
     hi = (1.0 + SPACING_TOLERANCE) * resolution_m
-    lat_s, lon_s = channels["lat"], channels["lon"]
 
-    def dist(tq: float) -> float:
-        return haversine_m(anchor, (lat_s.eval(tq), lon_s.eval(tq)))
+    def probe(tq: float) -> tuple[float, float, float, float, float]:
+        lat, lon, speed = fit.eval(tq)
+        return tq, lat, lon, speed, haversine_m(anchor, (lat, lon))
 
-    v = max(channels["speed_kmh"].eval(t) / 3.6, _MIN_GUESS_SPEED_MPS)
+    v = max(speed_kmh / 3.6, _MIN_GUESS_SPEED_MPS)
     dt = resolution_m / v
-    t_hi = min(t + dt, t_end)
-    d_hi = dist(t_hi)
+    upper = probe(min(t + dt, t_end))
     # widen until the band is reached or the trip runs out
-    while d_hi < lo and t_hi < t_end:
+    while upper[4] < lo and upper[0] < t_end:
         dt *= 2.0
-        t_hi = min(t + dt, t_end)
-        d_hi = dist(t_hi)
-    if d_hi < lo:
+        upper = probe(min(t + dt, t_end))
+    if upper[4] < lo:
         return None
-    if d_hi <= hi:
-        return t_hi
+    if upper[4] <= hi:
+        return upper
     # bisect into the band; distance is continuous in t, so this terminates
     t_lo = t
     for _ in range(80):
-        tm = 0.5 * (t_lo + t_hi)
-        dm = dist(tm)
-        if dm < lo:
-            t_lo = tm
-        elif dm > hi:
-            t_hi = tm
+        mid = probe(0.5 * (t_lo + upper[0]))
+        if mid[4] < lo:
+            t_lo = mid[0]
+        elif mid[4] > hi:
+            upper = mid
         else:
-            return tm
-    return t_hi
+            return mid
+    return upper
 
 
 def impute_trip(
@@ -144,37 +136,43 @@ def impute_trip(
         ValueError: non-positive resolution or factor.
     """
     channels = fit_trip_channels(trip)
-    t0 = trip.points[0].timestamp
-    t_end = trip.points[-1].timestamp
+    fit = JointHermite(channels["lat"], channels["lon"], channels["speed_kmh"])
+    first, last = trip.points[0], trip.points[-1]
+    points: list[GpsPoint] = [first]
+    # cumulative great-circle distance at each point, recorded as it is emitted
+    cum = [0.0]
 
     if factor is not None:
         if factor < 1:
             raise ValueError(f"factor must be >= 1, got {factor}")
-        points: list[GpsPoint] = [trip.points[0]]
         for a, b in zip(trip.points, trip.points[1:]):
             h = (b.timestamp - a.timestamp) / factor
             for k in range(1, factor):
-                points.append(_point_at(channels, a.timestamp + k * h, trip.id))
+                t = a.timestamp + k * h
+                points.append(_point(t, *fit.eval(t), trip.id))
+                cum.append(cum[-1] + haversine_m(points[-2].latlon, points[-1].latlon))
             points.append(b)
-        return ImputedTrajectory(
-            trip_id=trip.id, points=tuple(points), resolution_m=None, channels=channels
-        )
+            cum.append(cum[-1] + haversine_m(points[-2].latlon, points[-1].latlon))
+    else:
+        if not resolution_m > 0.0:
+            raise ValueError(f"resolution_m must be > 0, got {resolution_m}")
+        t_end = last.timestamp
+        t, speed, anchor = first.timestamp, first.speed_kmh, first.latlon
+        while True:
+            step = _next_step(fit, t, speed, anchor, t_end, resolution_m)
+            if step is None or step[0] >= t_end:
+                break
+            t, lat, lon, speed, distance = step
+            points.append(_point(t, lat, lon, speed, trip.id))
+            cum.append(cum[-1] + distance)
+            anchor = (lat, lon)
+        points.append(last)
+        cum.append(cum[-1] + haversine_m(anchor, last.latlon))
 
-    if not resolution_m > 0.0:
-        raise ValueError(f"resolution_m must be > 0, got {resolution_m}")
-
-    points = [trip.points[0]]
-    t = t0
-    anchor = trip.points[0].latlon
-    while True:
-        t_next = _next_step_time(channels, t, anchor, t_end, resolution_m)
-        if t_next is None or t_next >= t_end:
-            break
-        p = _point_at(channels, t_next, trip.id)
-        points.append(p)
-        t = t_next
-        anchor = p.latlon
-    points.append(trip.points[-1])
     return ImputedTrajectory(
-        trip_id=trip.id, points=tuple(points), resolution_m=resolution_m, channels=channels
+        trip_id=trip.id,
+        points=tuple(points),
+        resolution_m=None if factor is not None else resolution_m,
+        channels=channels,
+        path_profile=(tuple(cum), tuple(p.speed_kmh / 3.6 for p in points)),
     )

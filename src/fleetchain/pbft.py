@@ -77,9 +77,10 @@ class ValidatorNode:
             slot = self.log[(view, seq)] = {ph: {} for ph in PHASES}
         return slot
 
-    def _accepted_digest(self, view: int, seq: int) -> str | None:
-        primary = view % self.n
-        return self._slot(view, seq)[PH_PRE_PREPARE].get(primary)
+    def _accepted(self, view: int, seq: int) -> tuple[dict[str, dict[int, str]], str | None]:
+        """The slot, and the digest the view's primary pre-prepared in it."""
+        slot = self._slot(view, seq)
+        return slot, slot[PH_PRE_PREPARE].get(view % self.n)
 
     def _broadcast(self, msg: PbftMessage) -> list[tuple[int, PbftMessage]]:
         return [(peer, msg) for peer in range(self.n) if peer != self.id]
@@ -137,37 +138,36 @@ class ValidatorNode:
         return []
 
     def prepared(self, view: int, seq: int) -> bool:
-        digest = self._accepted_digest(view, seq)
-        if digest is None:
-            return False
-        prepares = self._slot(view, seq)[PH_PREPARE]
-        matching = sum(1 for d in prepares.values() if d == digest)
-        return matching >= 2 * self.f
+        slot, digest = self._accepted(view, seq)
+        return digest is not None and self._prepared(slot, digest)
 
     def committed(self, view: int, seq: int) -> bool:
-        digest = self._accepted_digest(view, seq)
-        if digest is None:
-            return False
-        commits = self._slot(view, seq)[PH_COMMIT]
-        matching = sum(1 for d in commits.values() if d == digest)
-        return matching >= 2 * self.f + 1
+        slot, digest = self._accepted(view, seq)
+        return digest is not None and self._committed(slot, digest)
+
+    # matching votes from distinct senders: the phase logs are keyed by sender
+    def _prepared(self, slot: dict[str, dict[int, str]], digest: str) -> bool:
+        return list(slot[PH_PREPARE].values()).count(digest) >= 2 * self.f
+
+    def _committed(self, slot: dict[str, dict[int, str]], digest: str) -> bool:
+        return list(slot[PH_COMMIT].values()).count(digest) >= 2 * self.f + 1
 
     def _advance(self, view: int, seq: int) -> list[tuple[int, PbftMessage]]:
         out: list[tuple[int, PbftMessage]] = []
-        digest = self._accepted_digest(view, seq)
+        slot, digest = self._accepted(view, seq)
         if digest is None:
             return out
-        slot = self._slot(view, seq)
-        if self.prepared(view, seq) and (view, seq) not in self.sent_commit:
-            self.sent_commit.add((view, seq))
+        key = (view, seq)
+        if key not in self.sent_commit and self._prepared(slot, digest):
+            self.sent_commit.add(key)
             slot[PH_COMMIT][self.id] = digest
             out.extend(self._broadcast(PbftMessage(PH_COMMIT, view, seq, digest, self.id)))
             out.extend(self._advance(view, seq))
             return out
-        if self.committed(view, seq) and (view, seq) not in self.executed:
-            block = self.blocks.get((view, seq))
+        if key not in self.executed and self._committed(slot, digest):
+            block = self.blocks.get(key)
             if block is not None:
-                self.executed.add((view, seq))
+                self.executed.add(key)
                 self.chain.append(block)
                 self.confirmed_blocks += 1
                 out.append((CLIENT, PbftMessage(PH_REPLY, view, seq, digest, self.id)))

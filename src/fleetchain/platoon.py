@@ -7,8 +7,9 @@ exactly at a fixed headway, so per-truck travel times coincide.  In the
 not-connected scenario each truck drives independently with seeded
 multiplicative speed noise and no discounts.
 
-Every rollout reads the trajectory's cached ``path_profile``, so the
-rollouts of one calibration or scenario pair share one profile.
+Every rollout reads the ``path_profile`` that imputation recorded on the
+trajectory, so the rollouts of one calibration or scenario pair compute no
+distances.
 
 Emission rates follow a quadratic in speed.  By default the reported
 per-truck emission figure is the cumulated amount divided by travel time

@@ -1,13 +1,16 @@
 """Byte-for-byte outputs of seeded CLI runs.
 
-The hashes pin the simulate report and calibration line, and the ledger a
-workflow leaves behind, so a speedup that moves any output byte fails here.
+The hashes pin the imputed CSV, the simulate report and calibration line,
+and the ledger a workflow leaves behind, so a speedup that moves any output
+byte fails here.
 """
 
 from __future__ import annotations
 
 import hashlib
 from pathlib import Path
+
+import pytest
 
 from fleetchain import cli
 from fleetchain.fcd import serialize_fcd
@@ -24,6 +27,22 @@ def run(capsys, *argv):
     code = cli.main(["--config", str(DEMO_CFG), *argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("extra, points, digest", [
+    # the default resolution comes from the config: 1 m
+    ((), 3001, "a27738cfbf0b01f7f86389bcb806c2b05d557babfda8466fd3c63c65ec409f89"),
+    (("--resolution-m", "0.5"), 6000,
+     "ea434f12c7944fe3b88c6f275d6c108e81accee477d56a5080cb8b4a50d0d40f"),
+    (("--factor", "7"), 274, "622c09242d581e4b3150b2f94405fbbc2bfe1dd6a27531567208dfe9ef41f597"),
+])
+def test_impute_output_is_pinned(capsys, tmp_path, extra, points, digest):
+    csv = tmp_path / "trips.csv"
+    csv.write_text(serialize_fcd([synthetic_trip("SAL.Tr1", length_km=3.0, n_points=40, seed=11)]))
+    code, out, err = run(capsys, "impute", "--input", str(csv), *extra)
+    assert code == 0
+    assert err == f"imputed 1 trips to {points} points\n"
+    assert sha256(out) == digest
 
 
 def test_simulate_calibrate_output_is_pinned(capsys, tmp_path):

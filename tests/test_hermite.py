@@ -18,6 +18,7 @@ from scipy.interpolate import PchipInterpolator
 
 from fleetchain.hermite import (
     HermiteSpline,
+    JointHermite,
     SplineSegment,
     fit_hermite,
     shape_preserving_slopes,
@@ -187,6 +188,51 @@ def test_sample_agrees_with_scalar_eval():
     ts = np.linspace(knots[0], knots[-1], 101)
     scalar = np.array([spline.eval(t) for t in ts])
     np.testing.assert_allclose(spline.sample(ts), scalar, rtol=0, atol=1e-12)
+
+
+# --- joint evaluation of fits on shared knots ------------------------------
+
+def three_fits(rng, n):
+    knots, values = random_knot_set(rng, n=n)
+    others = [[rng.uniform(-1e3, 1e3) for _ in knots] for _ in range(2)]
+    return [fit_hermite(knots, vs, channel=name)
+            for name, vs in zip(("lat", "lon", "speed_kmh"), [values, *others])]
+
+
+def assert_bitwise(a, b):
+    assert [v.hex() for v in a] == [v.hex() for v in b]
+
+
+def test_joint_eval_matches_each_fit_bit_for_bit():
+    rng = random.Random(2024)
+    for n in (2, 3, 17):
+        fits = three_fits(rng, n)
+        joint = JointHermite(*fits)
+        knots = fits[0].knots
+        mids = [0.5 * (a + b) for a, b in zip(knots, knots[1:])]
+        draws = [rng.uniform(knots[0], knots[-1]) for _ in range(1000)]
+        for t in [*knots, fits[0].t_max, *mids, *draws]:
+            assert_bitwise(joint.eval(t), [f.eval(t) for f in fits])
+
+
+def test_joint_eval_refuses_extrapolation_like_the_fits():
+    fits = three_fits(random.Random(8), 6)
+    joint = JointHermite(*fits)
+    for t in (fits[0].t_min - 1e-9, fits[0].t_max + 1e-9, -1e9, 1e9):
+        with pytest.raises(ValueError) as want:
+            fits[0].eval(t)
+        with pytest.raises(ValueError) as got:
+            joint.eval(t)
+        assert str(got.value) == str(want.value)
+
+
+def test_joint_eval_refuses_fits_on_different_knots():
+    fit = fit_hermite([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+    shifted = fit_hermite([0.0, 1.5, 2.0], [0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="same knots"):
+        JointHermite(fit, fit, shifted)
+    with pytest.raises(ValueError, match="same knots"):
+        JointHermite(shifted, fit, fit)
 
 
 # --- domain and validation --------------------------------------------------

@@ -112,3 +112,16 @@ def test_fit_trip_channels_covers_all_three():
     for spline in channels.values():
         assert spline.t_min == trip.points[0].timestamp
         assert spline.t_max == trip.points[-1].timestamp
+
+
+@pytest.mark.parametrize("mode", [{"resolution_m": 1.0}, {"resolution_m": 0.5},
+                                  {"resolution_m": 10.0}, {"factor": 5}])
+def test_recorded_path_profile_equals_a_walk_over_the_points(mode):
+    trip = synthetic_trip("pp", length_km=1.5, n_points=30, seed=12)
+    out = impute_trip(trip, **mode)
+    cum = [0.0]
+    for a, b in zip(out.points, out.points[1:]):
+        cum.append(cum[-1] + haversine_m(a.latlon, b.latlon))
+    path, speeds = out.path_profile
+    assert [d.hex() for d in path] == [d.hex() for d in cum]
+    assert speeds == tuple(p.speed_kmh / 3.6 for p in out.points)
