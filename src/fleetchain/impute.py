@@ -169,10 +169,12 @@ def impute_trip(
         points.append(last)
         cum.append(cum[-1] + haversine_m(anchor, last.latlon))
 
+    # rebinding frees each list as soon as its tuple exists
+    points, cum = tuple(points), tuple(cum)
     return ImputedTrajectory(
         trip_id=trip.id,
-        points=tuple(points),
+        points=points,
         resolution_m=None if factor is not None else resolution_m,
         channels=channels,
-        path_profile=(tuple(cum), tuple(p.speed_kmh / 3.6 for p in points)),
+        path_profile=(cum, tuple(p.speed_kmh / 3.6 for p in points)),
     )

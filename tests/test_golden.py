@@ -35,7 +35,7 @@ def run(capsys, *argv):
     (("--resolution-m", "0.5"), 6000,
      "ea434f12c7944fe3b88c6f275d6c108e81accee477d56a5080cb8b4a50d0d40f"),
     (("--factor", "7"), 274, "622c09242d581e4b3150b2f94405fbbc2bfe1dd6a27531567208dfe9ef41f597"),
-])
+], ids=["1m", "0.5m", "factor7"])
 def test_impute_output_is_pinned(capsys, tmp_path, extra, points, digest):
     csv = tmp_path / "trips.csv"
     csv.write_text(serialize_fcd([synthetic_trip("SAL.Tr1", length_km=3.0, n_points=40, seed=11)]))
