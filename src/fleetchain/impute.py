@@ -169,7 +169,7 @@ def impute_trip(
         points.append(last)
         cum.append(cum[-1] + haversine_m(anchor, last.latlon))
 
-    # rebinding frees each list as soon as its tuple exists
+    # rebinding frees the lists before the speeds are built
     points, cum = tuple(points), tuple(cum)
     return ImputedTrajectory(
         trip_id=trip.id,
