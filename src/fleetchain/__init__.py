@@ -49,7 +49,6 @@ from .platoon import (
     TruckSpec,
     calibrate,
     conventional_trucks,
-    generate_demand,
     platoon_trucks,
     report_csv,
     run_scenarios,
@@ -134,7 +133,6 @@ __all__ = [
     "fit_hermite",
     "fit_trip_channels",
     "fnv1a64",
-    "generate_demand",
     "import_chain",
     "impute_trip",
     "load_settings",

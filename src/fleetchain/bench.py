@@ -48,12 +48,9 @@ def powers_of_two(lo: int, hi: int) -> tuple[int, ...]:
 class BenchGrid:
     file_sizes_kb: tuple[int, ...] = DEFAULT_FILE_SIZES_KB
     record_sizes_kb: tuple[int, ...] = DEFAULT_RECORD_SIZES_KB
-    op: str = "WRITE"
     repetitions: int = DEFAULT_REPETITIONS
 
     def __post_init__(self) -> None:
-        if self.op != "WRITE":
-            raise ValueError(f"unsupported op {self.op!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         for name, sizes in (

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -43,6 +42,7 @@ from .platoon import (
 )
 from .store import (
     StoreError,
+    Volume,
     create_volume,
     open_volume,
     profile_csv,
@@ -251,28 +251,59 @@ def _load_chain(path: Path) -> Chain:
     return Chain()
 
 
-def _cmd_anchor(args) -> int:
-    settings = _settings(args)
-    volume = _open_or_create_volume(args.volume, settings)
-    logical = args.path if args.path is not None else args.input.name
-    data = args.input.read_bytes()
+def _anchor(
+    volume: Volume,
+    volume_dir: Path,
+    chain: Chain,
+    ledger: Path,
+    cluster: ValidatorCluster,
+    *,
+    logical: str,
+    data: bytes,
+    meta: dict[str, str],
+    submitter: str,
+    timestamp: float,
+) -> str:
+    """Store ``data`` under ``logical``, link its anchor into ``chain``
+    through ``cluster``, and persist the ledger and the volume; returns the
+    tx id.
+
+    The one anchor sequence of ``anchor`` and ``workflow``.  It calls the
+    ledger and store functions through this module's names, which is where
+    ``perfbench/tracing.py`` wraps them.
+    """
     ref = volume.write(logical, data)
     volume.fsync(logical)
+    tx = anchor_tx(ref, meta, submitter=submitter, timestamp=timestamp)
+    outcome = append_anchor(chain, tx, cluster=cluster)
+    if isinstance(outcome, Rejection):
+        raise ValueError(f"anchor rejected: {outcome.reason}")
+    ledger.write_text(export_chain(chain))
+    save_volume(volume, volume_dir)
+    return tx.tx_id
+
+
+def _cmd_anchor(args) -> int:
+    settings = _settings(args)
     meta = {}
     for item in args.meta:
         key, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"--meta needs KEY=VALUE, got {item!r}")
         meta[key] = value
-    tx = anchor_tx(ref, meta, submitter=args.submitter, timestamp=args.timestamp)
-    chain = _load_chain(args.ledger)
-    cluster = ValidatorCluster(n=settings.validators, f=1, seed=args.seed)
-    outcome = append_anchor(chain, tx, cluster=cluster)
-    if isinstance(outcome, Rejection):
-        raise ValueError(f"anchor rejected: {outcome.reason}")
-    args.ledger.write_text(export_chain(chain))
-    save_volume(volume, args.volume)
-    print(tx.tx_id)
+    tx_id = _anchor(
+        _open_or_create_volume(args.volume, settings),
+        args.volume,
+        _load_chain(args.ledger),
+        args.ledger,
+        ValidatorCluster(n=settings.validators, f=1, seed=args.seed),
+        logical=args.path if args.path is not None else args.input.name,
+        data=args.input.read_bytes(),
+        meta=meta,
+        submitter=args.submitter,
+        timestamp=args.timestamp,
+    )
+    print(tx_id)
     return EXIT_OK
 
 
@@ -340,9 +371,6 @@ def _cmd_workflow(args) -> int:
     graph = build_graph(args.vehicles, df_mask)
     ctx: dict[str, object] = {}
 
-    def h_in(node, inputs):
-        return None
-
     def h_wp1(node, inputs):
         ctx["volume"] = _open_or_create_volume(workdir / "volume", settings)
         ctx["chain"] = _load_chain(workdir / "chain.txt")
@@ -351,9 +379,6 @@ def _cmd_workflow(args) -> int:
             length_km=settings.fixture_length_km, radius_m=settings.route_radius_m
         )
         return "initialized"
-
-    def h_sp(node, inputs):
-        return None
 
     def h_dc(node, inputs):
         return synthetic_trip(
@@ -389,42 +414,38 @@ def _cmd_workflow(args) -> int:
 
     def h_da(node, inputs):
         (csv_text,) = inputs.values()
-        volume = ctx["volume"]
-        chain = ctx["chain"]
-        logical = "reports/efficiency.csv"
-        ref = volume.write(logical, csv_text.encode("utf-8"))
-        volume.fsync(logical)
-        tx = anchor_tx(
-            ref,
-            {"route": settings.route_label, "kind": "efficiency-report"},
+        return _anchor(
+            ctx["volume"],
+            workdir / "volume",
+            ctx["chain"],
+            workdir / "chain.txt",
+            ctx["cluster"],
+            logical="reports/efficiency.csv",
+            data=csv_text.encode("utf-8"),
+            meta={"route": settings.route_label, "kind": "efficiency-report"},
             submitter="workflow",
             timestamp=0.0,
         )
-        outcome = append_anchor(chain, tx, cluster=ctx["cluster"])
-        if isinstance(outcome, Rejection):
-            raise RuntimeError(f"anchor rejected: {outcome.reason}")
-        (workdir / "chain.txt").write_text(export_chain(chain))
-        save_volume(volume, workdir / "volume")
-        return tx.tx_id
 
-    def h_out(node, inputs):
+    def pseudo(node, inputs):
         return None
 
     handlers = {
-        TaskKind.IN: h_in,
+        TaskKind.IN: pseudo,
         TaskKind.WP1: h_wp1,
-        TaskKind.SP: h_sp,
+        TaskKind.SP: pseudo,
         TaskKind.DC: h_dc,
         TaskKind.DF: h_df,
         TaskKind.AG: h_ag,
         TaskKind.DA: h_da,
-        TaskKind.OUT: h_out,
+        TaskKind.OUT: pseudo,
     }
     trace = execute(graph, handlers)
     for entry in trace.entries:
         print(f"{entry.task_id:<6} {entry.status:<8} {entry.end - entry.start:.3f}s")
     if trace.status != "ok":
-        raise ValueError("workflow run failed")
+        failed = "; ".join(f"{e.task_id}: {e.error}" for e in trace.entries if e.error)
+        raise ValueError(f"workflow run failed: {failed}")
     tx_id = trace.outputs["da"]
     print(f"anchored {tx_id}")
     return EXIT_OK

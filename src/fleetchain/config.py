@@ -105,8 +105,6 @@ def load_settings(text: str) -> Settings:
         for key, value in raw.items():
             if key == "speed_factor_connected":
                 platoon = replace(platoon, speed_factor_connected=number(key, value))
-            elif key == "headway_s":
-                platoon = replace(platoon, headway_s=number(key, value))
             elif key == "step_s":
                 platoon = replace(platoon, step_s=number(key, value))
             elif key == "drag_reduction":

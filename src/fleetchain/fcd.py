@@ -67,7 +67,6 @@ class Trip:
 
     id: str
     points: tuple[GpsPoint, ...]
-    label: str | None = None
 
     def __post_init__(self) -> None:
         if len(self.points) < 2:

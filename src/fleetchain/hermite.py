@@ -16,11 +16,13 @@ together by ``JointHermite`` with one segment lookup per time.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -41,10 +43,6 @@ class SplineSegment:
     def value(self, t: float) -> float:
         s = t - self.t0
         return ((self.d * s + self.c) * s + self.b) * s + self.a
-
-    def derivative(self, t: float) -> float:
-        s = t - self.t0
-        return (3.0 * self.d * s + 2.0 * self.c) * s + self.b
 
 
 def _sign(x: float) -> int:
@@ -144,16 +142,10 @@ class HermiteSpline:
             return self.values[i + 1]
         return self.segments[i].value(t)
 
-    __call__ = eval
-
-    def derivative(self, t: float) -> float:
-        i = self._segment_index(t)
-        if t == self.knots[i]:
-            return self.slopes[i]
-        return self.segments[i].derivative(t)
-
     def sample(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; same domain rule as ``eval``."""
+        import numpy as np  # only here, so importing the package does not load numpy
+
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < self.knots[0] or ts.max() > self.knots[-1]):
             raise ValueError("sample times outside spline domain")
@@ -233,7 +225,7 @@ def fit_hermite(
     ks = [float(k) for k in knots]
     vs = [float(v) for v in values]
     for k, v in zip(ks, vs):
-        if not (np.isfinite(k) and np.isfinite(v)):
+        if not (math.isfinite(k) and math.isfinite(v)):
             raise ValueError("knots and values must be finite")
     for a, b in zip(ks, ks[1:]):
         if b <= a:

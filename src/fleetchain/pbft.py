@@ -59,7 +59,6 @@ class ValidatorNode:
         self.f = f
         self.fault: str | None = None
         self.chain: list[Block] = []
-        self.confirmed_blocks = 0
         self.next_seq = 0
         # per (view, seq): phase -> {sender: digest}
         self.log: dict[tuple[int, int], dict[str, dict[int, str]]] = {}
@@ -169,7 +168,6 @@ class ValidatorNode:
             if block is not None:
                 self.executed.add(key)
                 self.chain.append(block)
-                self.confirmed_blocks += 1
                 out.append((CLIENT, PbftMessage(PH_REPLY, view, seq, digest, self.id)))
         return out
 

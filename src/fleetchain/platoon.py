@@ -3,9 +3,9 @@
 Two scenarios share one densified trajectory.  In the connected scenario the
 convoy drives the speed profile scaled by a cruise uplift factor and each
 position gets a drag-derived emission discount; followers track the leader
-exactly at a fixed headway, so per-truck travel times coincide.  In the
-not-connected scenario each truck drives independently with seeded
-multiplicative speed noise and no discounts.
+exactly, so per-truck travel times coincide.  In the not-connected scenario
+each truck drives independently with seeded multiplicative speed noise and
+no discounts.
 
 Every rollout reads the ``path_profile`` that imputation recorded on the
 trajectory, so the rollouts of one calibration or scenario pair compute no
@@ -33,8 +33,6 @@ _ROLES = (ROLE_LEADER, ROLE_FOLLOWER, ROLE_INDEPENDENT)
 SCENARIO_CONNECTED = "connected"
 SCENARIO_NOT_CONNECTED = "not_connected"
 
-DEFAULT_EMISSION_CLASS = "HBEFA3/HDV_D_(EU5)"
-
 # minimum rollout speed; keeps a stop in the profile from stalling the march
 _CRAWL_MPS = 0.1
 
@@ -50,7 +48,6 @@ class TruckSpec:
     id: str
     role: str
     position_in_platoon: int
-    emission_class: str = DEFAULT_EMISSION_CLASS
 
     def __post_init__(self) -> None:
         if self.role not in _ROLES:
@@ -69,7 +66,6 @@ class PlatoonConfig:
 
     connected: bool = True
     speed_factor_connected: float = 1.21
-    headway_s: float = 1.0
     drag_reduction: tuple[float, float, float] = (0.66, 0.63, 0.60)
     step_s: float = 1.0
     noise_range: tuple[float, float] = (0.9, 1.0)
@@ -77,8 +73,6 @@ class PlatoonConfig:
     def __post_init__(self) -> None:
         if not self.speed_factor_connected > 0.0:
             raise ValueError("speed_factor_connected must be > 0")
-        if not self.headway_s > 0.0:
-            raise ValueError("headway_s must be > 0")
         if not self.step_s > 0.0:
             raise ValueError("step_s must be > 0")
         if len(self.drag_reduction) != 3:
@@ -126,7 +120,6 @@ class EfficiencyReport:
     trip_id: str
     per_truck: tuple[tuple[str, TruckResult], ...]
     emissions_sum: float
-    cumulative: bool = False
 
     def truck_ids(self) -> list[str]:
         return [tid for tid, _ in self.per_truck]
@@ -157,32 +150,6 @@ def conventional_trucks() -> tuple[TruckSpec, TruckSpec, TruckSpec]:
         TruckSpec("Tr2", ROLE_INDEPENDENT, 2),
         TruckSpec("Tr3", ROLE_INDEPENDENT, 3),
     )
-
-
-def generate_demand(
-    n_steps: int,
-    p_insert: float,
-    seed: int,
-    truck_types: Sequence[str] = ("Tr1", "Tr2", "Tr3"),
-) -> tuple[list[tuple[int, str]], int]:
-    """Seeded departure schedule: one insertion draw per step and truck type.
-
-    Returns the ordered ``(step, truck_type)`` pairs and the final vehicle
-    count.  Identical arguments replay identically.
-    """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    if not 0.0 <= p_insert <= 1.0:
-        raise ValueError("p_insert must be in [0, 1]")
-    rng = random.Random(seed)
-    schedule: list[tuple[int, str]] = []
-    veh_nr = 0
-    for step in range(n_steps):
-        for ttype in truck_types:
-            if rng.uniform(0.0, 1.0) < p_insert:
-                schedule.append((step, ttype))
-                veh_nr += 1
-    return schedule, veh_nr
 
 
 def simulate_convoy(
@@ -237,7 +204,6 @@ def simulate_convoy(
         trip_id=trajectory.trip_id,
         per_truck=tuple(results),
         emissions_sum=sum(r.emissions for _, r in results),
-        cumulative=cumulative,
     )
 
 

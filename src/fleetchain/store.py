@@ -22,10 +22,10 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .clock import MONOTONIC
-from .ring import VNODES_PER_BRICK, HashRing
+from .ring import HashRing
 
 FOP_WRITE = "WRITE"
 FOP_READDIRP = "READDIRP"
@@ -119,13 +119,14 @@ class Brick:
         self.xattrs: dict[str, dict[str, str]] = {}
         self.stats: dict[str, FopStats] = {op: FopStats(op) for op in TRACKED_FOPS}
         self.lock = threading.Lock()
-        (self.root / "blobs").mkdir(parents=True, exist_ok=True)
+        self.blobs = self.root / "blobs"
+        self.index_file = self.root / "index.tsv"
+        self.blobs.mkdir(parents=True, exist_ok=True)
         self._load_sidecars()
 
     def _load_sidecars(self) -> None:
-        index_file = self.root / "index.tsv"
-        if index_file.exists():
-            for line in index_file.read_text().splitlines():
+        if self.index_file.exists():
+            for line in self.index_file.read_text().splitlines():
                 if not line:
                     continue
                 path, digest, size = line.split("\t")
@@ -139,11 +140,11 @@ class Brick:
                 self.xattrs.setdefault(path, {})[key] = value
 
     def blob_path(self, digest: str) -> Path:
-        return self.root / "blobs" / digest
+        return self.blobs / digest
 
     def append_index(self, path: str, digest: str, size: int) -> None:
         self.index[path] = (digest, size)
-        with (self.root / "index.tsv").open("a") as fh:
+        with self.index_file.open("a") as fh:
             fh.write(f"{path}\t{digest}\t{size}\n")
 
     def compact_index(self) -> None:
@@ -151,7 +152,7 @@ class Brick:
         with tmp.open("w") as fh:
             for path, (digest, size) in self.index.items():
                 fh.write(f"{path}\t{digest}\t{size}\n")
-        tmp.replace(self.root / "index.tsv")
+        tmp.replace(self.index_file)
 
     def write_xattrs(self) -> None:
         tmp = self.root / "xattr.tsv.tmp"
@@ -186,7 +187,6 @@ class Volume:
         replica_count: int = 1,
         *,
         clock: Callable[[], float] = MONOTONIC,
-        vnodes_per_brick: int = VNODES_PER_BRICK,
     ) -> None:
         self.bricks = {b.id: b for b in bricks}
         if not self.bricks:
@@ -197,7 +197,7 @@ class Volume:
             )
         self.replica_count = replica_count
         self.clock = clock
-        self.ring = HashRing.build(list(self.bricks), vnodes_per_brick=vnodes_per_brick)
+        self.ring = HashRing.build(list(self.bricks))
         self._path_locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
 
@@ -220,9 +220,12 @@ class Volume:
         brick.record(op, (self.clock() - t0) * 1e6)
         return result
 
-    def _live_replicas(self, path: str) -> list[Brick]:
-        owners = [self.bricks[b] for b in self.place(path)]
-        live = [b for b in owners if b.live]
+    def _live_replicas(self, path: str, owners: Sequence[str] | None = None) -> list[Brick]:
+        """Live bricks among ``owners``, by default the placement of ``path``."""
+        if owners is None:
+            owners = self.place(path)
+        bricks = [self.bricks[b] for b in owners]
+        live = [b for b in bricks if b.live]
         if not live:
             raise UnavailableError(f"all replicas down for {path!r}")
         return live
@@ -266,7 +269,7 @@ class Volume:
     def lookup(self, path: str) -> ContentRef:
         """Metadata for ``path`` without transferring content."""
         owners = self.place(path)
-        live = self._live_replicas(path)
+        live = self._live_replicas(path, owners)
         for brick in live:
             entry = brick.index.get(path)
             if entry is None:
@@ -415,10 +418,11 @@ class StreamWriter:
         self._lock = volume._path_lock(path)
         self._lock.acquire()
         try:
-            self.replicas = volume._live_replicas(path)
+            self.owners = tuple(volume.place(path))
+            self.replicas = volume._live_replicas(path, self.owners)
             self._tmp = {}
             for brick in self.replicas:
-                tmp = brick.root / "blobs" / f".tmp-{id(self)}-{threading.get_ident()}"
+                tmp = brick.blobs / f".tmp-{id(self)}-{threading.get_ident()}"
                 self._tmp[brick.id] = (tmp, tmp.open("wb"))
         except BaseException:
             self._lock.release()
@@ -444,12 +448,11 @@ class StreamWriter:
                 fh.close()
                 tmp.replace(brick.blob_path(digest))
                 brick.append_index(self.path, digest, self.size)
-            owners = self.volume.place(self.path)
             return ContentRef(
                 path=self.path,
                 digest=digest,
                 size_bytes=self.size,
-                brick_ids=tuple(owners),
+                brick_ids=self.owners,
             )
         finally:
             self._lock.release()

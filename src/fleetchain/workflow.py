@@ -132,6 +132,7 @@ class TraceEntry:
     start: float
     end: float
     status: str
+    error: str | None = None  # "{type}: {message}" of a failed task's exception
 
 
 @dataclass(frozen=True)
@@ -162,9 +163,10 @@ def execute(
     """Run every task once in a topological order.
 
     Each handler receives its node and a dict mapping predecessor ids to
-    their outputs.  A raising handler marks its task failed; every
-    descendant is then skipped and the run status becomes "failed".
-    Failures in one lane do not stop unrelated lanes.
+    their outputs.  A raising handler marks its task failed, and the entry
+    keeps the exception's type and message in ``error``; every descendant
+    is then skipped and the run status becomes "failed".  Failures in one
+    lane do not stop unrelated lanes.
 
     Raises:
         WorkflowError: a node kind without a handler, or a cyclic graph.
@@ -195,8 +197,9 @@ def execute(
             start = clock()
             try:
                 result = handlers[node.kind](node, inputs)
-            except Exception:
-                entries.append(TraceEntry(task_id, start, clock(), STATUS_FAILED))
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                entries.append(TraceEntry(task_id, start, clock(), STATUS_FAILED, error))
                 bad.add(task_id)
             else:
                 end = start if node.kind in PSEUDO_KINDS else clock()

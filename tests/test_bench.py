@@ -64,8 +64,6 @@ def test_default_grid_shape():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError, match="unsupported op"):
-        BenchGrid(op="READ")
     with pytest.raises(ValueError, match="repetitions"):
         BenchGrid(repetitions=0)
     with pytest.raises(ValueError, match="must not be empty"):

@@ -7,7 +7,10 @@ work; exit codes are the contract under test: 0 ok, 1 domain error,
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -346,7 +349,7 @@ def test_workflow_rerun_rejects_duplicate_anchor(capsys, tmp_path):
     assert run(capsys, *argv)[0] == 0
     code, out, err = run(capsys, *argv)  # same bytes, same tx id
     assert code == 1
-    assert "workflow run failed" in err
+    assert "workflow run failed: da: ValueError: anchor rejected: duplicate tx_id" in err
     assert any(" failed " in line for line in out.splitlines())
 
 
@@ -357,3 +360,15 @@ def test_workflow_df_mask_validation(capsys, tmp_path):
     )
     assert code == 1
     assert "df-mask" in err
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # only HermiteSpline.sample uses numpy; every subprocess `anchor` or
+    # `verify` would otherwise pay for importing it
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, fleetchain.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"

@@ -52,7 +52,6 @@ def test_empty_text_gives_defaults():
 def test_platoon_and_emission_keys():
     settings = load_settings(
         "speed_factor_connected = 1.25\n"
-        "headway_s = 0.8\n"
         "step_s = 0.5\n"
         "drag_reduction = 1.0, 0.9, 0.85\n"
         "noise_range = 1.0, 1.12\n"
@@ -62,7 +61,6 @@ def test_platoon_and_emission_keys():
         "emission_idle_floor = 9.0\n"
     )
     assert settings.platoon.speed_factor_connected == 1.25
-    assert settings.platoon.headway_s == 0.8
     assert settings.platoon.step_s == 0.5
     assert settings.platoon.drag_reduction == (1.0, 0.9, 0.85)
     assert settings.platoon.noise_range == (1.0, 1.12)
@@ -104,11 +102,14 @@ def test_bool_spellings(raw, value):
 def test_unknown_key_fails_loudly():
     with pytest.raises(ConfigError, match="unknown configuration key 'warp_speed'"):
         load_settings("warp_speed = 9\n")
+    # the convoy model has no headway, so the key is not accepted
+    with pytest.raises(ConfigError, match="unknown configuration key 'headway_s'"):
+        load_settings("headway_s = 1.0\n")
 
 
 def test_bad_values_name_their_key():
-    with pytest.raises(ConfigError, match="headway_s"):
-        load_settings("headway_s = fast\n")
+    with pytest.raises(ConfigError, match="step_s"):
+        load_settings("step_s = fast\n")
     with pytest.raises(ConfigError, match="expected a boolean"):
         load_settings("cumulative = maybe\n")
     with pytest.raises(ConfigError, match="expected three"):
@@ -118,8 +119,8 @@ def test_bad_values_name_their_key():
 
 
 def test_dataclass_refusals_become_config_errors():
-    with pytest.raises(ConfigError, match="headway_s must be > 0"):
-        load_settings("headway_s = -1\n")
+    with pytest.raises(ConfigError, match="step_s must be > 0"):
+        load_settings("step_s = -1\n")
     with pytest.raises(ConfigError, match="not increase toward the tail"):
         load_settings("drag_reduction = 0.8, 0.9, 1.0\n")
     with pytest.raises(ConfigError, match="noise_range"):

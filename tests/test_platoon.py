@@ -19,7 +19,6 @@ from fleetchain.platoon import (
     calibrate,
     conventional_trucks,
     emission_sum_ratio,
-    generate_demand,
     platoon_trucks,
     report_csv,
     run_scenarios,
@@ -70,7 +69,6 @@ def test_time_averaged_default_equals_rate():
     rep = simulate_convoy(traj, platoon_trucks(), identity_cfg(), EM)
     for _, res in rep.per_truck:
         assert math.isclose(res.emissions, 70.0, rel_tol=1e-12)  # mg/s average
-    assert not rep.cumulative
 
 
 def test_drag_discount_scales_cumulated_emissions():
@@ -176,36 +174,6 @@ def test_config_validation():
         PlatoonConfig(noise_range=(0.0, 1.0))
     with pytest.raises(ValueError, match="speed_factor"):
         PlatoonConfig(speed_factor_connected=0.0)
-
-
-# --- demand generation ------------------------------------------------------
-
-def test_demand_certain_insertion():
-    schedule, n = generate_demand(2, 1.0, seed=0)
-    assert n == 6  # 2 steps x 3 truck types
-    assert schedule == [
-        (0, "Tr1"), (0, "Tr2"), (0, "Tr3"), (1, "Tr1"), (1, "Tr2"), (1, "Tr3"),
-    ]
-
-
-def test_demand_zero_probability():
-    schedule, n = generate_demand(100, 0.0, seed=4)
-    assert schedule == [] and n == 0
-
-
-def test_demand_statistics_and_replay():
-    s1, n1 = generate_demand(1000, 0.5, seed=42)
-    s2, n2 = generate_demand(1000, 0.5, seed=42)
-    assert s1 == s2 and n1 == n2
-    # binomial(3000, 0.5): mean 1500, sigma ~27.4; 3 sigma band
-    assert abs(n1 - 1500) < 83
-
-
-def test_demand_validation():
-    with pytest.raises(ValueError):
-        generate_demand(-1, 0.5, seed=0)
-    with pytest.raises(ValueError):
-        generate_demand(10, 1.5, seed=0)
 
 
 # --- calibration ------------------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fleetchain.clock import FakeClock
+from fleetchain.ring import HashRing
 from fleetchain.store import (
     FOP_FSYNC,
     FOP_FXATTROP,
@@ -163,6 +164,24 @@ def test_replicas_hold_identical_bytes(tmp_path):
     for bid in ref.brick_ids:
         blob = vol.bricks[bid].blob_path(ref.digest)
         assert blob.read_bytes() == b"replicated"
+
+
+def test_write_places_its_path_once(tmp_path, monkeypatch):
+    vol, _ = dyadic_volume(tmp_path, replica_count=2)
+    owners = vol.place("f")
+    vol.set_brick_down(owners[0])
+    placed = []
+    place = HashRing.place
+
+    def counting_place(ring, path, replica_count):
+        placed.append(path)
+        return place(ring, path, replica_count)
+
+    monkeypatch.setattr(HashRing, "place", counting_place)
+    ref = vol.write("f", b"placed once")
+    assert placed == ["f"]
+    # the reference names every owner, the one that was down included
+    assert ref.brick_ids == tuple(owners)
 
 
 def test_read_fails_over_when_first_replica_down(tmp_path):

@@ -188,6 +188,24 @@ def test_failure_skips_descendants_but_not_siblings():
     assert status["sp2"] == "ok" and status["dc2"] == "ok" and status["df2"] == "ok"
 
 
+def test_failed_entry_keeps_the_exception_out_of_the_serialized_trace():
+    trace = execute(build_graph(1), failing_on("dc1"), clock=FakeClock(step=0.5))
+    assert {e.task_id: e.error for e in trace.entries if e.error} == {
+        "dc1": "RuntimeError: boom"
+    }
+    assert serialize_trace(trace) == (
+        "status failed\n"
+        "trace in 0.0 0.0 ok\n"
+        "trace wp1 0.5 1.0 ok\n"
+        "trace sp1 1.5 1.5 ok\n"
+        "trace dc1 2.0 2.5 failed\n"
+        "trace df1 3.0 3.0 skipped\n"
+        "trace ag 3.5 3.5 skipped\n"
+        "trace da 4.0 4.0 skipped\n"
+        "trace out 4.5 4.5 skipped\n"
+    )
+
+
 def test_skipped_tasks_have_zero_duration():
     trace = execute(build_graph(1), failing_on("wp1"), clock=FakeClock(step=1.0))
     for e in trace.entries:
