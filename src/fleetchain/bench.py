@@ -102,10 +102,10 @@ def _run_cell(
     for rep in range(repetitions):
         path = f"bench/f{file_kb}k_r{record_kb}k/rep{rep}"
         t0 = clock()
-        writer = volume.writer(path)
-        for chunk in chunks:
-            writer.write(chunk)
-        writer.close()
+        with volume.writer(path) as writer:
+            for chunk in chunks:
+                writer.write(chunk)
+            writer.close()
         volume.fsync(path)
         elapsed.append(clock() - t0)
     median = statistics.median(elapsed)

@@ -265,8 +265,8 @@ def _anchor(
     timestamp: float,
 ) -> str:
     """Store ``data`` under ``logical``, link its anchor into ``chain``
-    through ``cluster``, and persist the ledger and the volume; returns the
-    tx id.
+    through ``cluster``, append the new block to the ``ledger`` export and
+    save the volume; returns the tx id.
 
     The one anchor sequence of ``anchor`` and ``workflow``.  It calls the
     ledger and store functions through this module's names, which is where
@@ -275,10 +275,12 @@ def _anchor(
     ref = volume.write(logical, data)
     volume.fsync(logical)
     tx = anchor_tx(ref, meta, submitter=submitter, timestamp=timestamp)
-    outcome = append_anchor(chain, tx, cluster=cluster)
-    if isinstance(outcome, Rejection):
-        raise ValueError(f"anchor rejected: {outcome.reason}")
-    ledger.write_text(export_chain(chain))
+    block = append_anchor(chain, tx, cluster=cluster)
+    if isinstance(block, Rejection):
+        raise ValueError(f"anchor rejected: {block.reason}")
+    # the export of a chain is the concatenation of its blocks' exports
+    with ledger.open("a") as fh:
+        fh.write(export_chain(Chain([block])))
     save_volume(volume, volume_dir)
     return tx.tx_id
 

@@ -326,8 +326,10 @@ def verify_anchor(chain: Chain, tx_id: str, volume: Volume) -> VerifyResult:
 
     Checks, in order: the transaction exists; the whole chain re-validates;
     the stored bytes hash to the anchored digest and match the anchored
-    size.  A missing path reports "missing"; every other discrepancy is a
-    "mismatch" naming what broke.
+    size.  The anchored version of the path is read; only when it is gone is
+    the current version read, to name what replaced it.  A missing path
+    reports "missing"; every other discrepancy is a "mismatch" naming what
+    broke.
     """
     located = chain.find_tx(tx_id)
     if located is None:
@@ -338,7 +340,10 @@ def verify_anchor(chain: Chain, tx_id: str, volume: Volume) -> VerifyResult:
     except ChainIntegrityError as exc:
         return VerifyResult(VERIFY_MISMATCH, str(exc), height=exc.height)
     try:
-        data = volume.read(tx.content.path)
+        try:
+            data = volume.read(tx.content.path, tx.content.digest)
+        except NotFoundError:
+            data = volume.read(tx.content.path)
     except NotFoundError:
         return VerifyResult(
             VERIFY_MISSING, f"path {tx.content.path!r} absent from store", height=block.height

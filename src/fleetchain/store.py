@@ -5,9 +5,10 @@ keeps ``replica_count`` byte-identical copies.  Every brick is a directory:
 
     <root>/blobs/<sha256-hex>     content-addressed payload files
     <root>/index.tsv              path<TAB>digest<TAB>size, last entry wins
-    <root>/xattr.tsv              path<TAB>key<TAB>value
+    <root>/xattr.tsv              path<TAB>key<TAB>value, last entry wins
 
-The index is appended per write for O(1) updates and compacted on save.
+Both sidecars are append-only, one line per write or FXATTROP; loading
+keeps the last entry, and nothing compacts them or deletes superseded blobs.
 Each tracked file operation (WRITE, READDIRP, LOOKUP, FXATTROP, FSYNC)
 updates the serving brick's call and latency counters; a ``read`` resolves
 the path first and is accounted as a LOOKUP on the brick that serves it.
@@ -108,6 +109,18 @@ class DirEntry:
     digest: str | None
 
 
+def _rows(sidecar: Path) -> list[list[str]]:
+    """Tab-separated rows of an append-only sidecar, oldest first."""
+    if not sidecar.exists():
+        return []
+    return [line.split("\t") for line in sidecar.read_text().splitlines() if line]
+
+
+def _append_row(sidecar: Path, *fields: str) -> None:
+    with sidecar.open("a") as fh:
+        fh.write("\t".join(fields) + "\n")
+
+
 class Brick:
     """One storage target rooted at a directory."""
 
@@ -116,51 +129,28 @@ class Brick:
         self.root = Path(root)
         self.live = True
         self.index: dict[str, tuple[str, int]] = {}
+        # every (path, digest) the index ever recorded, current or superseded
+        self.versions: set[tuple[str, str]] = set()
         self.xattrs: dict[str, dict[str, str]] = {}
         self.stats: dict[str, FopStats] = {op: FopStats(op) for op in TRACKED_FOPS}
         self.lock = threading.Lock()
         self.blobs = self.root / "blobs"
         self.index_file = self.root / "index.tsv"
+        self.xattr_file = self.root / "xattr.tsv"
         self.blobs.mkdir(parents=True, exist_ok=True)
-        self._load_sidecars()
-
-    def _load_sidecars(self) -> None:
-        if self.index_file.exists():
-            for line in self.index_file.read_text().splitlines():
-                if not line:
-                    continue
-                path, digest, size = line.split("\t")
-                self.index[path] = (digest, int(size))
-        xattr_file = self.root / "xattr.tsv"
-        if xattr_file.exists():
-            for line in xattr_file.read_text().splitlines():
-                if not line:
-                    continue
-                path, key, value = line.split("\t")
-                self.xattrs.setdefault(path, {})[key] = value
+        for path, digest, size in _rows(self.index_file):
+            self.index[path] = (digest, int(size))
+            self.versions.add((path, digest))
+        for path, key, value in _rows(self.xattr_file):
+            self.xattrs.setdefault(path, {})[key] = value
 
     def blob_path(self, digest: str) -> Path:
         return self.blobs / digest
 
     def append_index(self, path: str, digest: str, size: int) -> None:
         self.index[path] = (digest, size)
-        with self.index_file.open("a") as fh:
-            fh.write(f"{path}\t{digest}\t{size}\n")
-
-    def compact_index(self) -> None:
-        tmp = self.root / "index.tsv.tmp"
-        with tmp.open("w") as fh:
-            for path, (digest, size) in self.index.items():
-                fh.write(f"{path}\t{digest}\t{size}\n")
-        tmp.replace(self.index_file)
-
-    def write_xattrs(self) -> None:
-        tmp = self.root / "xattr.tsv.tmp"
-        with tmp.open("w") as fh:
-            for path, kv in self.xattrs.items():
-                for key, value in kv.items():
-                    fh.write(f"{path}\t{key}\t{value}\n")
-        tmp.replace(self.root / "xattr.tsv")
+        self.versions.add((path, digest))
+        _append_row(self.index_file, path, digest, str(size))
 
     def record(self, op: str, duration_us: float) -> None:
         with self.lock:
@@ -238,31 +228,27 @@ class Volume:
 
     def write(self, path: str, data: bytes) -> ContentRef:
         """Store ``data`` under ``path`` on every replica brick."""
-        w = self.writer(path)
-        w.write(data)
-        return w.close()
+        with self.writer(path) as w:
+            w.write(data)
+            return w.close()
 
     # --- reads and metadata ------------------------------------------------
 
-    def read(self, path: str) -> bytes:
-        """Bytes from the first live replica, digest-verified."""
-        live = self._live_replicas(path)
-        for brick in live:
-            entry = brick.index.get(path)
-            if entry is None:
+    def read(self, path: str, digest: str | None = None) -> bytes:
+        """Bytes of ``path`` from the first live replica holding them,
+        digest-verified.  ``digest`` (default: the replica's current entry)
+        must be one the replica's index recorded for ``path``."""
+        for brick in self._live_replicas(path):
+            want = brick.index.get(path, (None,))[0] if digest is None else digest
+            if (path, want) not in brick.versions:
                 continue
-            digest, size = entry
-            blob = brick.blob_path(digest)
-            if not blob.exists():
+            blob = brick.blob_path(want)
+            if not blob.is_file():
                 continue
-
-            def _do(brick: Brick = brick, blob: Path = blob) -> bytes:
-                return blob.read_bytes()
-
-            data = self._timed(brick, FOP_LOOKUP, _do)
+            data = self._timed(brick, FOP_LOOKUP, blob.read_bytes)
             actual = sha256_hex(data)
-            if actual != digest:
-                raise IntegrityError(brick.id, path, digest, actual)
+            if actual != want:
+                raise IntegrityError(brick.id, path, want, actual)
             return data
         raise NotFoundError(f"{path!r} not found on any live replica")
 
@@ -347,11 +333,11 @@ class Volume:
                 found = True
 
                 def _do(brick: Brick = brick) -> None:
-                    # brick-level lock: writers on *other* paths share the
-                    # same xattr sidecar and tmp file
+                    # brick-level lock: setters on *other* paths share this
+                    # brick's xattrs and its append-only sidecar
                     with brick.lock:
                         brick.xattrs.setdefault(path, {})[key] = value
-                        brick.write_xattrs()
+                        _append_row(brick.xattr_file, path, key, value)
 
                 self._timed(brick, FOP_FXATTROP, _do)
             if not found:
@@ -405,7 +391,8 @@ class Volume:
 
 
 class StreamWriter:
-    """Accumulates one logical file chunk by chunk on all replica bricks."""
+    """Accumulates one logical file chunk by chunk on all replica bricks.
+    As a context manager it aborts unless closed, so a failure frees the path."""
 
     def __init__(self, volume: Volume, path: str) -> None:
         if "\t" in path or "\n" in path:
@@ -428,6 +415,12 @@ class StreamWriter:
             self._lock.release()
             raise
 
+    def __enter__(self) -> "StreamWriter":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.abort()
+
     def write(self, chunk: bytes) -> None:
         if self._closed:
             raise StoreError("writer already closed")
@@ -440,22 +433,19 @@ class StreamWriter:
     def close(self) -> ContentRef:
         if self._closed:
             raise StoreError("writer already closed")
-        self._closed = True
+        digest = self._hash.hexdigest()
         try:
-            digest = self._hash.hexdigest()
             for brick in self.replicas:
                 tmp, fh = self._tmp[brick.id]
                 fh.close()
                 tmp.replace(brick.blob_path(digest))
                 brick.append_index(self.path, digest, self.size)
-            return ContentRef(
-                path=self.path,
-                digest=digest,
-                size_bytes=self.size,
-                brick_ids=self.owners,
-            )
-        finally:
-            self._lock.release()
+        except BaseException:
+            self.abort()
+            raise
+        self._closed = True
+        self._lock.release()
+        return ContentRef(self.path, digest, self.size, self.owners)
 
     def abort(self) -> None:
         if self._closed:
@@ -517,11 +507,9 @@ def open_volume(directory: str | Path, *, clock: Callable[[], float] = MONOTONIC
 
 
 def save_volume(volume: Volume, directory: str | Path) -> None:
-    """Compact per-brick sidecars and persist operation counters."""
+    """Persist operation counters; the brick sidecars are append-only and
+    already hold every write and FXATTROP."""
     base = Path(directory)
-    for brick in volume.bricks.values():
-        brick.compact_index()
-        brick.write_xattrs()
     lines = []
     for brick in volume.bricks.values():
         for op in TRACKED_FOPS:

@@ -18,12 +18,13 @@ from fleetchain.bench import (
     DEFAULT_FILE_SIZES_KB,
     DEFAULT_RECORD_SIZES_KB,
     BenchGrid,
+    _run_cell,
     bench_csv,
     powers_of_two,
     run_bench,
 )
 from fleetchain.clock import MONOTONIC, FakeClock
-from fleetchain.store import create_volume
+from fleetchain.store import FOP_WRITE, Volume, create_volume
 
 STEP = 2.0**-10
 
@@ -182,3 +183,23 @@ def test_bench_csv_format(tmp_path):
     assert lines[1] == f"4,4,{expected_throughput(4, 4, 1, replicas=1):.2f}"
     assert lines[2] == f"8,4,{expected_throughput(8, 4, 1, replicas=1):.2f}"
     assert lines[3] == f"8,8,{expected_throughput(8, 8, 1, replicas=1):.2f}"
+
+
+def test_failed_cell_frees_its_path(tmp_path, monkeypatch):
+    vol, clock = clocked_volume(tmp_path, replica_count=2)
+    real_timed = Volume._timed
+
+    def full_disk(self, brick, op, fn):
+        if op == FOP_WRITE:
+            raise OSError(28, "No space left on device")
+        return real_timed(self, brick, op, fn)
+
+    monkeypatch.setattr(Volume, "_timed", full_disk)
+    with pytest.raises(OSError):
+        _run_cell(vol, 4, 4, 1, 0, clock)
+    monkeypatch.undo()
+
+    assert not vol._path_lock("bench/f4k_r4k/rep0").locked()
+    for brick in vol.bricks.values():
+        assert list(brick.blobs.glob(".tmp-*")) == []
+    assert not _run_cell(vol, 4, 4, 1, 0, clock).skipped

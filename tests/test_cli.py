@@ -18,6 +18,7 @@ import pytest
 from fleetchain import cli
 from fleetchain.fcd import Trip, parse_fcd, serialize_fcd, write_gpx
 from fleetchain.impute import impute_trip
+from fleetchain.ledger import export_chain, import_chain
 from fleetchain.store import sha256_hex
 from fleetchain.synth import route_query_for, synthetic_trip
 from fleetchain.workflow import build_graph
@@ -217,6 +218,25 @@ def test_anchor_appends_blocks(capsys, anchored, tmp_path):
     assert out.strip() != tx_id
 
 
+def test_anchor_exports_only_its_new_block(capsys, anchored, tmp_path, monkeypatch):
+    tx_id, vol, ledger, _ = anchored
+    exported = []
+
+    def counting_export(chain):
+        exported.append(len(chain.blocks))
+        return export_chain(chain)
+
+    monkeypatch.setattr(cli, "export_chain", counting_export)
+    second = tmp_path / "other.csv"
+    second.write_bytes(b"different bytes")
+    code, _, _ = run(
+        capsys, "anchor", "--input", str(second), "--volume", str(vol), "--ledger", str(ledger)
+    )
+    assert code == 0
+    assert exported == [1]
+    assert ledger.read_text() == export_chain(import_chain(ledger.read_text()))
+
+
 def test_anchor_duplicate_rejected(capsys, anchored, tmp_path):
     _, vol, ledger, data = anchored
     again = tmp_path / "report.csv"  # same bytes, same logical path
@@ -258,6 +278,43 @@ def test_verify_tampered_ledger_digest_exits_2(capsys, anchored):
     code, out, _ = run(capsys, "verify", "--tx", tx_id, "--volume", str(vol), "--ledger", str(ledger))
     assert code == 2
     assert "stored digest" in out
+
+
+@pytest.mark.parametrize("forged", ["", "..", "../index.tsv", "absolute"])
+def test_verify_ledger_digest_naming_no_blob_exits_2(capsys, tmp_path, anchored, forged):
+    # a digest from chain.txt must not name a file: the stored blob is read
+    tx_id, vol, ledger, data = anchored
+    if forged == "absolute":
+        outside = tmp_path / "outside.log"
+        outside.write_bytes(b"not a blob")
+        forged = str(outside)
+    ledger.write_text(ledger.read_text().replace(sha256_hex(data), forged))
+    code, out, _ = run(capsys, "verify", "--tx", tx_id, "--volume", str(vol), "--ledger", str(ledger))
+    assert code == 2
+    assert out.startswith(f"mismatch: stored digest {sha256_hex(data)} != anchored")
+
+
+@pytest.mark.parametrize(
+    "renamed, code",
+    [("never-written.csv", 3), ("other.csv", 2)],
+)
+def test_verify_ledger_path_rename_fails(capsys, tmp_path, renamed, code):
+    # default store (3 bricks, 2 replicas): any two paths share a brick
+    vol, ledger = tmp_path / "vol", tmp_path / "chain.txt"
+    txs = []
+    for name in ("report.csv", "other.csv"):
+        (tmp_path / name).write_text(f"{name}\n")
+        rc, out, _ = run(
+            capsys, "anchor", "--input", str(tmp_path / name),
+            "--volume", str(vol), "--ledger", str(ledger),
+        )
+        assert rc == 0
+        txs.append(out.strip())
+    line = next(ln for ln in ledger.read_text().splitlines() if ln.startswith(f"  {txs[0]},"))
+    ledger.write_text(ledger.read_text().replace(line, line.replace(",report.csv,", f",{renamed},")))
+    rc, out, _ = run(capsys, "verify", "--tx", txs[0], "--volume", str(vol), "--ledger", str(ledger))
+    assert rc == code
+    assert out.startswith("missing:" if code == 3 else "mismatch:")
 
 
 def test_verify_deleted_blob_exits_3(capsys, anchored):
@@ -351,6 +408,27 @@ def test_workflow_rerun_rejects_duplicate_anchor(capsys, tmp_path):
     assert code == 1
     assert "workflow run failed: da: ValueError: anchor rejected: duplicate tx_id" in err
     assert any(" failed " in line for line in out.splitlines())
+
+
+def test_verify_earlier_workflow_anchor_after_a_rerun(capsys, tmp_path):
+    # both runs store reports/efficiency.csv; the first anchor still audits
+    workdir = tmp_path / "run"
+    tx_ids = []
+    for seed in ("1", "2"):
+        code, out, _ = run(
+            capsys, "--seed", seed, "--config", str(DEMO_CFG),
+            "workflow", "--vehicles", "1", "--workdir", str(workdir),
+        )
+        assert code == 0
+        tx_ids.append(out.splitlines()[-1].removeprefix("anchored "))
+    assert tx_ids[0] != tx_ids[1]
+    for tx_id in tx_ids:
+        code, out, _ = run(
+            capsys,
+            "verify", "--tx", tx_id,
+            "--volume", str(workdir / "volume"), "--ledger", str(workdir / "chain.txt"),
+        )
+        assert (code, out) == (0, "ok: content and linkage verified\n")
 
 
 def test_workflow_df_mask_validation(capsys, tmp_path):

@@ -23,6 +23,7 @@ from fleetchain.store import (
     FOP_READDIRP,
     FOP_WRITE,
     TRACKED_FOPS,
+    Brick,
     IntegrityError,
     NotFoundError,
     StoreError,
@@ -114,16 +115,29 @@ def test_layout_blob_index_meta(tmp_path):
     assert (tmp_path / "vol" / "stats.tsv").exists()
 
 
-def test_index_appends_then_compacts(tmp_path):
+def test_sidecars_are_append_only(tmp_path):
     vol, _ = dyadic_volume(tmp_path, n_bricks=1)
+    brick_root = tmp_path / "vol" / "bricks" / "brick-00"
+    index_file, xattr_file = brick_root / "index.tsv", brick_root / "xattr.tsv"
     vol.write("p", b"one")
+    vol.fxattrop("p", "state", "sealed")
+    inodes = (index_file.stat().st_ino, xattr_file.stat().st_ino)
+
     vol.write("p", b"two!")
-    index_file = tmp_path / "vol" / "bricks" / "brick-00" / "index.tsv"
-    # two appended entries before compaction, last one wins
-    assert len(index_file.read_text().splitlines()) == 2
+    vol.fxattrop("p", "state", "final")
     save_volume(vol, tmp_path / "vol")
-    lines = index_file.read_text().splitlines()
-    assert lines == [f"p\t{sha256_hex(b'two!')}\t4"]
+
+    # both entries stay; nothing is compacted or replaced
+    assert index_file.read_text().splitlines() == [
+        f"p\t{sha256_hex(b'one')}\t3",
+        f"p\t{sha256_hex(b'two!')}\t4",
+    ]
+    assert xattr_file.read_text().splitlines() == ["p\tstate\tsealed", "p\tstate\tfinal"]
+    assert (index_file.stat().st_ino, xattr_file.stat().st_ino) == inodes
+    # the last entry wins on reload
+    reopened = open_volume(tmp_path / "vol")
+    assert reopened.read("p") == b"two!"
+    assert reopened.xattrs("p") == {"state": "final"}
 
 
 def test_create_refuses_existing_volume(tmp_path):
@@ -348,6 +362,71 @@ def test_abort_leaves_no_trace(tmp_path):
     w.abort()  # idempotent
     with pytest.raises(StoreError, match="already closed"):
         w.write(b"more")
+
+
+def test_failed_chunk_write_frees_the_path(tmp_path, monkeypatch):
+    vol, _ = dyadic_volume(tmp_path, replica_count=2)
+    real_timed = Volume._timed
+
+    def full_disk(self, brick, op, fn):
+        if op == FOP_WRITE:
+            raise OSError(28, "No space left on device")
+        return real_timed(self, brick, op, fn)
+
+    monkeypatch.setattr(Volume, "_timed", full_disk)
+    with pytest.raises(OSError, match="No space"):
+        vol.write("p", b"payload")
+    monkeypatch.undo()
+
+    assert not vol._path_lock("p").locked()
+    for brick in vol.bricks.values():
+        assert list(brick.blobs.glob(".tmp-*")) == []
+    with pytest.raises(NotFoundError):
+        vol.read("p")
+    vol.write("p", b"payload")
+    assert vol.read("p") == b"payload"
+
+
+def test_failed_close_frees_the_path_without_with(tmp_path, monkeypatch):
+    vol, _ = dyadic_volume(tmp_path, replica_count=2)
+
+    def full_disk(self, path, digest, size):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Brick, "append_index", full_disk)
+    writer = vol.writer("p")
+    writer.write(b"payload")
+    with pytest.raises(OSError, match="No space"):
+        writer.close()
+    monkeypatch.undo()
+
+    assert not vol._path_lock("p").locked()
+    for brick in vol.bricks.values():
+        assert list(brick.blobs.glob(".tmp-*")) == []
+    vol.write("p", b"payload")
+    assert vol.read("p") == b"payload"
+
+
+def test_read_selects_a_version_by_digest(tmp_path):
+    vol, _ = dyadic_volume(tmp_path, n_bricks=1)
+    first = vol.write("p", b"first")
+    vol.write("p", b"second")
+    other = vol.write("q", b"other")
+    assert vol.read("p") == b"second"
+    assert vol.read("p", first.digest) == b"first"
+    for digest in (sha256_hex(b"never written"), other.digest, "/etc/hostname"):
+        # a digest is served only for a path the index recorded it under
+        with pytest.raises(NotFoundError):
+            vol.read("p", digest)
+    save_volume(vol, tmp_path / "vol")
+    reopened = open_volume(tmp_path / "vol", clock=FakeClock(step=STEP))
+    assert reopened.read("p", first.digest) == b"first"
+    with pytest.raises(NotFoundError):
+        reopened.read("p", other.digest)
+    blob = owner_bricks(vol, "p")[0].blob_path(first.digest)
+    blob.write_bytes(b"scribble")
+    with pytest.raises(IntegrityError):
+        vol.read("p", first.digest)
 
 
 # --- persistence ------------------------------------------------------------
