@@ -29,6 +29,7 @@ from .ledger import (
     VERIFY_OK,
     anchor_tx,
     append_anchor,
+    check_tx_path,
     export_chain,
     import_chain,
     verify_anchor,
@@ -266,12 +267,14 @@ def _anchor(
 ) -> str:
     """Store ``data`` under ``logical``, link its anchor into ``chain``
     through ``cluster``, append the new block to the ``ledger`` export and
-    save the volume; returns the tx id.
+    save the volume; returns the tx id.  A path that the ledger or the
+    store cannot record is refused before anything is written.
 
     The one anchor sequence of ``anchor`` and ``workflow``.  It calls the
     ledger and store functions through this module's names, which is where
     ``perfbench/tracing.py`` wraps them.
     """
+    check_tx_path(logical)
     ref = volume.write(logical, data)
     volume.fsync(logical)
     tx = anchor_tx(ref, meta, submitter=submitter, timestamp=timestamp)

@@ -15,8 +15,6 @@ so the cumulative distance is recorded while stepping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 from .fcd import GpsPoint, Trip
 from .geo import haversine_m
@@ -29,10 +27,8 @@ _MIN_GUESS_SPEED_MPS = 0.05
 
 @dataclass(frozen=True)
 class ImputedTrajectory:
-    """Densified trip plus the channel fits that produced it.
+    """Densified trip.
 
-    ``resolution_m`` is None when the trajectory was produced with a fixed
-    per-interval multiplication factor instead of spatial stepping.
     ``path_profile`` holds the cumulative great-circle distance [m] at each
     point, starting at 0.0, and the speed at each point [m/s].  Imputation
     records it while emitting the points, so every rollout over one
@@ -41,8 +37,6 @@ class ImputedTrajectory:
 
     trip_id: str
     points: tuple[GpsPoint, ...]
-    resolution_m: float | None
-    channels: Mapping[str, HermiteSpline]
     path_profile: tuple[tuple[float, ...], tuple[float, ...]]
 
     def __post_init__(self) -> None:
@@ -53,7 +47,6 @@ class ImputedTrajectory:
                 raise ValueError("imputed timestamps must be strictly increasing")
         if any(len(column) != len(self.points) for column in self.path_profile):
             raise ValueError("path profile needs one entry per point")
-        object.__setattr__(self, "channels", MappingProxyType(dict(self.channels)))
 
 
 def fit_trip_channels(trip: Trip) -> dict[str, HermiteSpline]:
@@ -174,7 +167,5 @@ def impute_trip(
     return ImputedTrajectory(
         trip_id=trip.id,
         points=points,
-        resolution_m=None if factor is not None else resolution_m,
-        channels=channels,
         path_profile=(cum, tuple(p.speed_kmh / 3.6 for p in points)),
     )

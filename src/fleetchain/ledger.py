@@ -1,4 +1,4 @@
-"""Hash-linked anchor ledger with rule screening and store-backed audit.
+"""Hash-linked anchor ledger with store-backed audit.
 
 An anchor transaction pins a stored file: its logical path, sha256 digest,
 size, owning bricks, and free-form index tags.  Transactions are encoded
@@ -14,15 +14,18 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
-from .store import IntegrityError, NotFoundError, ContentRef, Volume, sha256_hex
+from .store import (
+    BlobGoneError,
+    ContentRef,
+    IntegrityError,
+    NotFoundError,
+    Volume,
+    sha256_hex,
+)
 
 ZERO_HASH = "0" * 64
-
-RESPONSE_ACCEPT = "accept"
-RESPONSE_REJECT = "reject"
-RESPONSE_ANNOTATE = "annotate"
 
 VERIFY_OK = "ok"
 VERIFY_MISMATCH = "mismatch"
@@ -162,64 +165,6 @@ def make_block(height: int, prev_hash: str, txs: Sequence[AnchorTx]) -> Block:
     )
 
 
-# --- contract rules ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class ContractRule:
-    """Declarative screening rule applied to incoming transactions.
-
-    ``trigger`` decides whether the rule applies.  ``authorized`` (when not
-    None) lists submitters allowed to pass a triggered rule; anyone else is
-    rejected citing the rule.  ``response`` is what a triggered, authorized
-    rule does: accept, reject, or annotate the transaction with a tag.
-    """
-
-    name: str
-    trigger: Callable[[AnchorTx], bool]
-    response: str = RESPONSE_ACCEPT
-    authorized: frozenset[str] | None = None
-    annotation: tuple[str, str] | None = None
-
-    def __post_init__(self) -> None:
-        if self.response not in (RESPONSE_ACCEPT, RESPONSE_REJECT, RESPONSE_ANNOTATE):
-            raise ValueError(f"unknown response {self.response!r}")
-        if self.response == RESPONSE_ANNOTATE and self.annotation is None:
-            raise ValueError(f"rule {self.name!r} annotates but has no annotation")
-
-
-@dataclass(frozen=True)
-class Rejection:
-    reason: str
-    rule: str | None = None
-
-
-def evaluate_rules(tx: AnchorTx, rules: Sequence[ContractRule]) -> AnchorTx | Rejection:
-    """Apply rules in declaration order; the first reject wins.
-
-    Annotations accumulate onto the transaction (re-hashed, since meta is
-    part of the id).  A triggered rule with an authorization list rejects
-    unauthorized submitters regardless of its response.
-    """
-    current = tx
-    for rule in rules:
-        if not rule.trigger(current):
-            continue
-        if rule.authorized is not None and current.submitter not in rule.authorized:
-            return Rejection(
-                reason=f"submitter {current.submitter!r} not authorized", rule=rule.name
-            )
-        if rule.response == RESPONSE_REJECT:
-            return Rejection(reason="rejected by rule", rule=rule.name)
-        if rule.response == RESPONSE_ANNOTATE:
-            key, value = rule.annotation
-            meta = dict(current.index_meta)
-            meta[key] = value
-            current = anchor_tx(
-                current.content, meta, current.submitter, current.timestamp
-            )
-    return current
-
-
 # --- chain ------------------------------------------------------------------
 
 class Chain:
@@ -247,9 +192,6 @@ class Chain:
     def height(self) -> int:
         return len(self.blocks)
 
-    def tx_ids(self) -> set[str]:
-        return set(self.tx_heights)
-
     def find_tx(self, tx_id: str) -> tuple[Block, AnchorTx] | None:
         """The block at the indexed height and its first tx with this id;
         a block swapped into ``blocks`` since is the one returned."""
@@ -267,26 +209,25 @@ class ConsensusCluster(Protocol):
     def propose(self, block: Block) -> bool: ...
 
 
-def append_anchor(
-    chain: Chain,
-    tx: AnchorTx,
-    rules: Sequence[ContractRule] = (),
-    cluster: ConsensusCluster | None = None,
-) -> Block | Rejection:
-    """Screen, batch, and link one transaction as the next block.
+@dataclass(frozen=True)
+class Rejection:
+    reason: str
 
-    Duplicate transaction ids are rejected before rule evaluation.  When a
-    ``cluster`` is given the block only links after the round decides.
+
+def append_anchor(
+    chain: Chain, tx: AnchorTx, *, cluster: ConsensusCluster | None = None
+) -> Block | Rejection:
+    """Link one transaction as the next block.
+
+    A duplicate transaction id is rejected before any consensus round.
+    When a ``cluster`` is given the block only links after the round decides.
     """
     if tx.tx_id in chain.tx_heights:
         return Rejection(reason=f"duplicate tx_id {tx.tx_id}")
-    outcome = evaluate_rules(tx, rules)
-    if isinstance(outcome, Rejection):
-        return outcome
-    block = make_block(chain.height, chain.tip_hash, [outcome])
+    block = make_block(chain.height, chain.tip_hash, [tx])
     if cluster is not None and not cluster.propose(block):
         return Rejection(reason="consensus round did not decide")
-    chain.tx_heights.setdefault(outcome.tx_id, chain.height)
+    chain.tx_heights[tx.tx_id] = chain.height
     chain.blocks.append(block)
     return block
 
@@ -326,10 +267,11 @@ def verify_anchor(chain: Chain, tx_id: str, volume: Volume) -> VerifyResult:
 
     Checks, in order: the transaction exists; the whole chain re-validates;
     the stored bytes hash to the anchored digest and match the anchored
-    size.  The anchored version of the path is read; only when it is gone is
-    the current version read, to name what replaced it.  A missing path
-    reports "missing"; every other discrepancy is a "mismatch" naming what
-    broke.
+    size.  The anchored version of the path is read; only when no replica
+    recorded it for the path is the current version read, to name what is
+    stored instead.  A missing path, or an anchored version whose blob is
+    gone, reports "missing"; every other discrepancy is a "mismatch" naming
+    what broke.
     """
     located = chain.find_tx(tx_id)
     if located is None:
@@ -342,8 +284,12 @@ def verify_anchor(chain: Chain, tx_id: str, volume: Volume) -> VerifyResult:
     try:
         try:
             data = volume.read(tx.content.path, tx.content.digest)
+        except BlobGoneError:
+            raise
         except NotFoundError:
             data = volume.read(tx.content.path)
+    except BlobGoneError as exc:
+        return VerifyResult(VERIFY_MISSING, str(exc), height=block.height)
     except NotFoundError:
         return VerifyResult(
             VERIFY_MISSING, f"path {tx.content.path!r} absent from store", height=block.height
@@ -367,6 +313,12 @@ def verify_anchor(chain: Chain, tx_id: str, volume: Volume) -> VerifyResult:
 
 
 # --- text export ------------------------------------------------------------
+
+def check_tx_path(path: str) -> None:
+    """Refuse a path that the comma-separated tx line cannot hold."""
+    if "," in path:
+        raise ValueError(f"path {path!r}: chain.txt tx fields must not contain commas")
+
 
 def export_chain(chain: Chain) -> str:
     """Line format: ``height,prev,hash,tx_count`` then two-space-indented

@@ -330,13 +330,10 @@ class ValidatorCluster:
         self.f = f
         self.seed = seed
         self.rounds = 0
-        self.confirmed = 0
 
     def propose(self, block: Block) -> bool:
         result = run_consensus(
             block, n=self.n, f=self.f, seed=self.seed + self.rounds
         )
         self.rounds += 1
-        if result.decided:
-            self.confirmed += 1
         return result.decided

@@ -25,11 +25,6 @@ from typing import Iterable, Sequence
 
 from .impute import ImputedTrajectory
 
-ROLE_LEADER = "leader"
-ROLE_FOLLOWER = "follower"
-ROLE_INDEPENDENT = "independent"
-_ROLES = (ROLE_LEADER, ROLE_FOLLOWER, ROLE_INDEPENDENT)
-
 SCENARIO_CONNECTED = "connected"
 SCENARIO_NOT_CONNECTED = "not_connected"
 
@@ -46,18 +41,11 @@ class TruckSpec:
     """One truck in a three-vehicle convoy."""
 
     id: str
-    role: str
     position_in_platoon: int
 
     def __post_init__(self) -> None:
-        if self.role not in _ROLES:
-            raise ValueError(f"unknown role {self.role!r}")
         if not 1 <= self.position_in_platoon <= 3:
             raise ValueError(f"position_in_platoon must be 1..3, got {self.position_in_platoon}")
-        if self.role == ROLE_LEADER and self.position_in_platoon != 1:
-            raise ValueError("leader must be at position 1")
-        if self.role == ROLE_FOLLOWER and self.position_in_platoon < 2:
-            raise ValueError("followers must be at position >= 2")
 
 
 @dataclass(frozen=True)
@@ -137,18 +125,18 @@ class EfficiencyReport:
 def platoon_trucks() -> tuple[TruckSpec, TruckSpec, TruckSpec]:
     """Connected convoy: one leader, two followers."""
     return (
-        TruckSpec("SAL.Tr1", ROLE_LEADER, 1),
-        TruckSpec("AF.Tr2", ROLE_FOLLOWER, 2),
-        TruckSpec("AF.Tr3", ROLE_FOLLOWER, 3),
+        TruckSpec("SAL.Tr1", 1),
+        TruckSpec("AF.Tr2", 2),
+        TruckSpec("AF.Tr3", 3),
     )
 
 
 def conventional_trucks() -> tuple[TruckSpec, TruckSpec, TruckSpec]:
     """Same three vehicles driving independently."""
     return (
-        TruckSpec("Tr1", ROLE_INDEPENDENT, 1),
-        TruckSpec("Tr2", ROLE_INDEPENDENT, 2),
-        TruckSpec("Tr3", ROLE_INDEPENDENT, 3),
+        TruckSpec("Tr1", 1),
+        TruckSpec("Tr2", 2),
+        TruckSpec("Tr3", 3),
     )
 
 

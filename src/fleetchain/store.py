@@ -47,6 +47,11 @@ class NotFoundError(StoreError):
     pass
 
 
+class BlobGoneError(NotFoundError):
+    """A live replica's index recorded the version, but no live replica
+    still holds its blob."""
+
+
 class UnavailableError(StoreError):
     pass
 
@@ -107,6 +112,13 @@ class DirEntry:
     is_dir: bool
     size_bytes: int
     digest: str | None
+
+
+def _check_field(value: str, what: str) -> None:
+    """Refuse a tab or any line break that ``str.splitlines`` splits on: a
+    sidecar row is one line of tab-separated fields."""
+    if "\t" in value or "".join(value.splitlines()) != value:
+        raise ValueError(f"{what} {value!r}: sidecar fields must not contain tabs or newlines")
 
 
 def _rows(sidecar: Path) -> list[list[str]]:
@@ -237,11 +249,14 @@ class Volume:
     def read(self, path: str, digest: str | None = None) -> bytes:
         """Bytes of ``path`` from the first live replica holding them,
         digest-verified.  ``digest`` (default: the replica's current entry)
-        must be one the replica's index recorded for ``path``."""
+        must be one the replica's index recorded for ``path``; a recorded
+        version whose blob no live replica holds raises :class:`BlobGoneError`."""
+        gone = None
         for brick in self._live_replicas(path):
             want = brick.index.get(path, (None,))[0] if digest is None else digest
             if (path, want) not in brick.versions:
                 continue
+            gone = want
             blob = brick.blob_path(want)
             if not blob.is_file():
                 continue
@@ -250,6 +265,8 @@ class Volume:
             if actual != want:
                 raise IntegrityError(brick.id, path, want, actual)
             return data
+        if gone is not None:
+            raise BlobGoneError(f"blob {gone} of {path!r} gone from every live replica")
         raise NotFoundError(f"{path!r} not found on any live replica")
 
     def lookup(self, path: str) -> ContentRef:
@@ -322,8 +339,8 @@ class Volume:
 
     def fxattrop(self, path: str, key: str, value: str) -> None:
         """Atomically set an extended attribute on every live replica."""
-        if "\t" in key or "\n" in key or "\t" in value or "\n" in value:
-            raise ValueError("xattr keys and values must not contain tabs or newlines")
+        _check_field(key, "xattr key")
+        _check_field(value, "xattr value")
         with self._path_lock(path):
             live = self._live_replicas(path)
             found = False
@@ -395,8 +412,7 @@ class StreamWriter:
     As a context manager it aborts unless closed, so a failure frees the path."""
 
     def __init__(self, volume: Volume, path: str) -> None:
-        if "\t" in path or "\n" in path:
-            raise ValueError("paths must not contain tabs or newlines")
+        _check_field(path, "path")
         self.volume = volume
         self.path = path
         self.size = 0

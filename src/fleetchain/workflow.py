@@ -215,21 +215,3 @@ def execute(
         raise WorkflowError("graph contains a cycle")
     status = STATUS_FAILED if bad else STATUS_OK
     return RunTrace(entries=tuple(entries), status=status, outputs=outputs)
-
-
-def serialize_graph(graph: WorkflowGraph) -> str:
-    """Line-oriented text form: one ``node`` line per task, one ``edge`` per arc."""
-    lines = [f"vehicles {graph.n_vehicles}"]
-    for n in graph.nodes:
-        vi = "-" if n.vehicle_index is None else str(n.vehicle_index)
-        lines.append(f"node {n.id} {n.kind.value} {vi}")
-    for src, dst in graph.edges:
-        lines.append(f"edge {src} {dst}")
-    return "\n".join(lines) + "\n"
-
-
-def serialize_trace(trace: RunTrace) -> str:
-    lines = [f"status {trace.status}"]
-    for e in trace.entries:
-        lines.append(f"trace {e.task_id} {e.start!r} {e.end!r} {e.status}")
-    return "\n".join(lines) + "\n"

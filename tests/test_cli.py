@@ -11,15 +11,19 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from fleetchain import cli
 from fleetchain.fcd import Trip, parse_fcd, serialize_fcd, write_gpx
 from fleetchain.impute import impute_trip
-from fleetchain.ledger import export_chain, import_chain
-from fleetchain.store import sha256_hex
+from fleetchain.ledger import Chain, export_chain, import_chain, verify_anchor
+from fleetchain.pbft import ValidatorCluster
+from fleetchain.store import create_volume, open_volume, sha256_hex
 from fleetchain.synth import route_query_for, synthetic_trip
 from fleetchain.workflow import build_graph
 
@@ -261,6 +265,63 @@ def test_anchor_meta_needs_equals(capsys, tmp_path):
     assert "KEY=VALUE" in err
 
 
+def _tree(root):
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize(
+    "path",
+    ["a,b.csv", "x\ty.csv", "x\ny.csv", "x\ry.csv", "x\x0by.csv", "x\x0cy.csv",
+     "x\x1cy.csv", "x\x85y.csv", "x\u2028y.csv", "x\u2029y.csv"],
+)
+def test_anchor_refuses_a_path_the_ledger_or_store_cannot_record(capsys, anchored, tmp_path, path):
+    tx_id, vol, ledger, _ = anchored
+    before = _tree(vol), ledger.read_bytes()
+    report = tmp_path / "next.csv"
+    report.write_bytes(b"next report\n")
+    code, out, err = run(
+        capsys, "anchor", "--input", str(report), "--volume", str(vol),
+        "--ledger", str(ledger), "--path", path,
+    )
+    assert (code, out) == (1, "")
+    assert repr(path) in err
+    assert (_tree(vol), ledger.read_bytes()) == before
+    code, _, _ = run(capsys, "verify", "--tx", tx_id, "--volume", str(vol), "--ledger", str(ledger))
+    assert code == 0
+
+
+def test_anchor_refuses_a_comma_in_the_input_file_name(capsys, tmp_path):
+    report = tmp_path / "report,v2.csv"
+    report.write_bytes(b"report\n")
+    vol, ledger = tmp_path / "vol", tmp_path / "chain.txt"
+    code, _, err = run(
+        capsys, "anchor", "--input", str(report), "--volume", str(vol), "--ledger", str(ledger)
+    )
+    assert code == 1
+    assert "'report,v2.csv'" in err
+    assert not ledger.exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=st.text(max_size=8), data=st.binary(max_size=32))
+def test_every_path_anchor_accepts_round_trips(path, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        vol, ledger = Path(tmp) / "vol", Path(tmp) / "chain.txt"
+        volume, chain = create_volume(vol, n_bricks=3, replica_count=2), Chain()
+        try:
+            tx_id = cli._anchor(
+                volume, vol, chain, ledger, ValidatorCluster(),
+                logical=path, data=data, meta={}, submitter="cli", timestamp=0.0,
+            )
+        except ValueError:
+            reject()  # refused before anything was written
+        assert open_volume(vol).read(path) == data
+        text = ledger.read_text()
+        assert text == export_chain(chain)
+        assert export_chain(import_chain(text)) == text
+        assert verify_anchor(import_chain(text), tx_id, open_volume(vol)).status == "ok"
+
+
 def test_verify_tampered_blob_exits_2(capsys, anchored):
     tx_id, vol, ledger, data = anchored
     (blob,) = vol.glob(f"bricks/*/blobs/{sha256_hex(data)}")
@@ -324,6 +385,29 @@ def test_verify_deleted_blob_exits_3(capsys, anchored):
     code, out, _ = run(capsys, "verify", "--tx", tx_id, "--volume", str(vol), "--ledger", str(ledger))
     assert code == 3
     assert out.startswith("missing:")
+
+
+def test_verify_deleted_blob_of_an_overwritten_path_exits_3(capsys, tmp_path):
+    # the path's current version is intact, but the anchored one is gone
+    vol, ledger, report = tmp_path / "vol", tmp_path / "chain.txt", tmp_path / "r.csv"
+    txs = []
+    first = b"first\n"
+    for content in (first, b"second\n"):
+        report.write_bytes(content)
+        code, out, _ = run(
+            capsys, "anchor", "--input", str(report), "--volume", str(vol), "--ledger", str(ledger)
+        )
+        assert code == 0
+        txs.append(out.strip())
+    blobs = list(vol.glob(f"bricks/*/blobs/{sha256_hex(first)}"))
+    assert blobs
+    for blob in blobs:
+        blob.unlink()
+    code, out, _ = run(capsys, "verify", "--tx", txs[0], "--volume", str(vol), "--ledger", str(ledger))
+    assert code == 3
+    assert out.startswith("missing:")
+    code, _, _ = run(capsys, "verify", "--tx", txs[1], "--volume", str(vol), "--ledger", str(ledger))
+    assert code == 0
 
 
 def test_verify_unknown_tx_exits_3(capsys, anchored):

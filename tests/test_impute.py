@@ -44,11 +44,11 @@ def test_endpoints_are_original_samples():
 
 def test_channels_reproduce_knots():
     trip = synthetic_trip("k", length_km=1.0, n_points=25, seed=9)
-    out = impute_trip(trip, 5.0)
+    channels = fit_trip_channels(trip)
     for p in trip.points:
-        assert abs(out.channels["lat"].eval(p.timestamp) - p.lat) <= 1e-9
-        assert abs(out.channels["lon"].eval(p.timestamp) - p.lon) <= 1e-9
-        assert abs(out.channels["speed_kmh"].eval(p.timestamp) - p.speed_kmh) <= 1e-9
+        assert abs(channels["lat"].eval(p.timestamp) - p.lat) <= 1e-9
+        assert abs(channels["lon"].eval(p.timestamp) - p.lon) <= 1e-9
+        assert abs(channels["speed_kmh"].eval(p.timestamp) - p.speed_kmh) <= 1e-9
 
 
 def test_spacing_band_on_jittered_trip():
@@ -58,14 +58,12 @@ def test_spacing_band_on_jittered_trip():
     hi = 3.0 * (1.0 + SPACING_TOLERANCE) + 1e-6
     gaps = spacings(out.points)
     assert all(lo <= g <= hi for g in gaps[:-1])
-    assert out.resolution_m == 3.0
 
 
 def test_factor_mode_point_count():
     trip = synthetic_trip("f", length_km=0.6, n_points=11, seed=6)
     out = impute_trip(trip, factor=4)
     assert len(out.points) == (11 - 1) * 4 + 1
-    assert out.resolution_m is None
     # original samples survive at their knot positions
     assert out.points[0] == trip.points[0]
     assert out.points[4] == trip.points[1]

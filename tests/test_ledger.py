@@ -1,4 +1,4 @@
-"""Anchor ledger: canonical hashing, rule screening, linkage, audit.
+"""Anchor ledger: canonical hashing, linkage, audit.
 
 The encoding and merkle oracles below restate the wire rules from scratch
 (struct + hashlib only) so a silent change to the canonical byte layout
@@ -15,8 +15,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fleetchain.ledger import (
-    RESPONSE_ANNOTATE,
-    RESPONSE_REJECT,
     VERIFY_MISMATCH,
     VERIFY_MISSING,
     VERIFY_OK,
@@ -25,14 +23,12 @@ from fleetchain.ledger import (
     Block,
     Chain,
     ChainIntegrityError,
-    ContractRule,
     Rejection,
     anchor_tx,
     append_anchor,
     compute_block_hash,
     compute_tx_id,
     encode_tx_fields,
-    evaluate_rules,
     export_chain,
     import_chain,
     make_block,
@@ -137,54 +133,6 @@ def test_block_hash_hand_computed():
     assert compute_block_hash(5, ZERO_HASH, tx_ids) == hashlib.sha256(payload).hexdigest()
 
 
-# --- contract rules ----------------------------------------------------------
-
-def test_first_reject_wins():
-    tx = anchor_tx(ref_of(), {}, "ops", 0.0)
-    rules = [
-        ContractRule("skip-me", trigger=lambda t: False, response=RESPONSE_REJECT),
-        ContractRule("large-files", trigger=lambda t: True, response=RESPONSE_REJECT),
-        ContractRule("never-reached", trigger=lambda t: True, response=RESPONSE_REJECT),
-    ]
-    outcome = evaluate_rules(tx, rules)
-    assert isinstance(outcome, Rejection)
-    assert outcome.rule == "large-files"
-
-
-def test_annotation_rehashes_tx():
-    tx = anchor_tx(ref_of(), {"kind": "report"}, "ops", 0.0)
-    rule = ContractRule(
-        "tag-csv",
-        trigger=lambda t: t.content.path.endswith(".csv"),
-        response=RESPONSE_ANNOTATE,
-        annotation=("screened", "yes"),
-    )
-    outcome = evaluate_rules(tx, [rule])
-    assert isinstance(outcome, AnchorTx)
-    assert ("screened", "yes") in outcome.index_meta
-    assert outcome.tx_id != tx.tx_id  # meta is part of the id
-    assert outcome.tx_id == anchor_tx(
-        tx.content, dict(tx.index_meta) | {"screened": "yes"}, "ops", 0.0
-    ).tx_id
-
-
-def test_authorization_gate():
-    rule = ContractRule("ops-only", trigger=lambda t: True, authorized=frozenset({"ops"}))
-    ok = evaluate_rules(anchor_tx(ref_of(), {}, "ops", 0.0), [rule])
-    assert isinstance(ok, AnchorTx)
-    denied = evaluate_rules(anchor_tx(ref_of(), {}, "mallory", 0.0), [rule])
-    assert isinstance(denied, Rejection)
-    assert denied.rule == "ops-only"
-    assert "mallory" in denied.reason
-
-
-def test_rule_validation():
-    with pytest.raises(ValueError, match="unknown response"):
-        ContractRule("bad", trigger=lambda t: True, response="explode")
-    with pytest.raises(ValueError, match="no annotation"):
-        ContractRule("bad", trigger=lambda t: True, response=RESPONSE_ANNOTATE)
-
-
 # --- chain building ----------------------------------------------------------
 
 def test_five_block_chain_links_and_verifies(volume):
@@ -194,20 +142,24 @@ def test_five_block_chain_links_and_verifies(volume):
     for i in range(1, 5):
         assert chain.blocks[i].prev_hash == chain.blocks[i - 1].block_hash
     assert chain.tip_hash == chain.blocks[-1].block_hash
-    assert chain.tx_ids() == {t.tx_id for t in txs}
+    assert chain.tx_heights == {t.tx_id: i for i, t in enumerate(txs)}
     verify_chain(chain)  # no raise
 
 
-def test_duplicate_tx_rejected_before_rules(volume):
-    chain = Chain()
+def test_duplicate_tx_rejected_before_consensus(volume):
+    class Counts:
+        rounds = 0
+
+        def propose(self, block):
+            self.rounds += 1
+            return True
+
+    chain, cluster = Chain(), Counts()
     tx = stored_tx(volume, "p", b"x")
-    append_anchor(chain, tx)
-    outcome = append_anchor(
-        chain, tx, rules=[ContractRule("r", trigger=lambda t: True, response=RESPONSE_REJECT)]
-    )
-    assert isinstance(outcome, Rejection)
-    assert "duplicate" in outcome.reason
-    assert outcome.rule is None  # never reached rule evaluation
+    append_anchor(chain, tx, cluster=cluster)
+    outcome = append_anchor(chain, tx, cluster=cluster)
+    assert outcome == Rejection(reason=f"duplicate tx_id {tx.tx_id}")
+    assert cluster.rounds == 1  # the duplicate never reached a round
     assert chain.height == 1
 
 
@@ -227,21 +179,6 @@ def test_find_tx_returns_first_occurrence_on_import():
     chain = import_chain(export_chain(Chain([b0, b1])))
     block, _ = chain.find_tx(tx.tx_id)
     assert block.height == 0
-
-
-def test_find_tx_returns_first_occurrence_of_annotated_duplicate():
-    # both transactions annotate to the same id, so it lands twice
-    rule = ContractRule(
-        "tag", trigger=lambda t: True, response=RESPONSE_ANNOTATE, annotation=("kind", "csv")
-    )
-    chain = Chain()
-    first = append_anchor(chain, anchor_tx(ref_of(), {"kind": "a"}, "ops", 0.0), [rule])
-    second = append_anchor(chain, anchor_tx(ref_of(), {"kind": "b"}, "ops", 0.0), [rule])
-    assert isinstance(first, Block) and isinstance(second, Block)
-    tx_id = first.tx_list[0].tx_id
-    assert second.tx_list[0].tx_id == tx_id
-    block, _ = chain.find_tx(tx_id)
-    assert block is first
 
 
 def test_find_tx_returns_swapped_in_block(volume):
@@ -280,7 +217,7 @@ def test_consensus_accept_appends(volume):
     outcome = append_anchor(chain, stored_tx(volume, "p", b"x"), cluster=cluster)
     assert isinstance(outcome, Block)
     assert chain.height == 1
-    assert cluster.confirmed == 1
+    assert cluster.rounds == 1
 
 
 # --- tamper detection --------------------------------------------------------

@@ -156,15 +156,12 @@ def test_requires_three_trucks():
 
 # --- specs and config validation -------------------------------------------
 
-def test_truck_roles():
-    leader, f2, f3 = platoon_trucks()
-    assert (leader.role, leader.position_in_platoon) == ("leader", 1)
-    assert f2.position_in_platoon == 2 and f3.position_in_platoon == 3
-    assert all(t.role == "independent" for t in conventional_trucks())
-    with pytest.raises(ValueError, match="leader"):
-        TruckSpec("x", "leader", 2)
-    with pytest.raises(ValueError, match="position"):
-        TruckSpec("x", "follower", 1)
+def test_truck_positions():
+    for trucks in (platoon_trucks(), conventional_trucks()):
+        assert [t.position_in_platoon for t in trucks] == [1, 2, 3]
+    for bad in (0, 4):
+        with pytest.raises(ValueError, match="position"):
+            TruckSpec("x", bad)
 
 
 def test_config_validation():

@@ -16,8 +16,6 @@ from fleetchain.workflow import (
     WorkflowGraph,
     build_graph,
     execute,
-    serialize_graph,
-    serialize_trace,
 )
 
 
@@ -188,22 +186,21 @@ def test_failure_skips_descendants_but_not_siblings():
     assert status["sp2"] == "ok" and status["dc2"] == "ok" and status["df2"] == "ok"
 
 
-def test_failed_entry_keeps_the_exception_out_of_the_serialized_trace():
+def test_failed_entry_keeps_the_exception_text():
     trace = execute(build_graph(1), failing_on("dc1"), clock=FakeClock(step=0.5))
     assert {e.task_id: e.error for e in trace.entries if e.error} == {
         "dc1": "RuntimeError: boom"
     }
-    assert serialize_trace(trace) == (
-        "status failed\n"
-        "trace in 0.0 0.0 ok\n"
-        "trace wp1 0.5 1.0 ok\n"
-        "trace sp1 1.5 1.5 ok\n"
-        "trace dc1 2.0 2.5 failed\n"
-        "trace df1 3.0 3.0 skipped\n"
-        "trace ag 3.5 3.5 skipped\n"
-        "trace da 4.0 4.0 skipped\n"
-        "trace out 4.5 4.5 skipped\n"
-    )
+    assert [(e.task_id, e.start, e.end, e.status) for e in trace.entries] == [
+        ("in", 0.0, 0.0, "ok"),
+        ("wp1", 0.5, 1.0, "ok"),
+        ("sp1", 1.5, 1.5, "ok"),
+        ("dc1", 2.0, 2.5, "failed"),
+        ("df1", 3.0, 3.0, "skipped"),
+        ("ag", 3.5, 3.5, "skipped"),
+        ("da", 4.0, 4.0, "skipped"),
+        ("out", 4.5, 4.5, "skipped"),
+    ]
 
 
 def test_skipped_tasks_have_zero_duration():
@@ -238,34 +235,3 @@ def test_cycle_detected():
     graph = WorkflowGraph(nodes=nodes, edges=edges, n_vehicles=0)
     with pytest.raises(WorkflowError, match="cycle"):
         execute(graph, ok_handlers())
-
-
-# --- serialization ----------------------------------------------------------
-
-def test_serialize_graph_golden():
-    text = serialize_graph(build_graph(1, (False,)))
-    assert text == (
-        "vehicles 1\n"
-        "node in IN -\n"
-        "node wp1 WP1 -\n"
-        "node sp1 SP 1\n"
-        "node dc1 DC 1\n"
-        "node ag AG -\n"
-        "node da DA -\n"
-        "node out OUT -\n"
-        "edge in wp1\n"
-        "edge wp1 sp1\n"
-        "edge sp1 dc1\n"
-        "edge dc1 ag\n"
-        "edge ag da\n"
-        "edge da out\n"
-    )
-
-
-def test_serialize_trace_reports_status_per_task():
-    trace = execute(build_graph(0), failing_on("ag"), clock=FakeClock(step=0.5))
-    text = serialize_trace(trace)
-    lines = text.strip().split("\n")
-    assert lines[0] == "status failed"
-    assert any(line.startswith("trace ag") and line.endswith("failed") for line in lines)
-    assert any(line.startswith("trace da") and line.endswith("skipped") for line in lines)
