@@ -105,8 +105,8 @@ def _run_cell(
         with volume.writer(path) as writer:
             for chunk in chunks:
                 writer.write(chunk)
-            writer.close()
-        volume.fsync(path)
+            digest = writer.close().digest
+        volume.fsync(path, digest)
         elapsed.append(clock() - t0)
     median = statistics.median(elapsed)
     elapsed_s = max(median * repetitions, 1e-9)

@@ -24,6 +24,7 @@ from .config import ConfigError, Settings, load_settings_file
 from .impute import impute_trip
 from .ledger import (
     Chain,
+    ChainTip,
     Rejection,
     VERIFY_MISMATCH,
     VERIFY_OK,
@@ -32,6 +33,7 @@ from .ledger import (
     check_tx_path,
     export_chain,
     import_chain,
+    scan_tip,
     verify_anchor,
 )
 from .pbft import ValidatorCluster
@@ -42,6 +44,7 @@ from .platoon import (
     run_scenarios,
 )
 from .store import (
+    ContentRef,
     StoreError,
     Volume,
     create_volume,
@@ -49,6 +52,7 @@ from .store import (
     profile_csv,
     profile_text,
     save_volume,
+    sha256_hex,
 )
 from .synth import route_query_for, synthetic_trip
 from .workflow import TaskKind, build_graph, execute
@@ -246,16 +250,15 @@ def _open_or_create_volume(path: Path, settings: Settings, clock=MONOTONIC):
     )
 
 
-def _load_chain(path: Path) -> Chain:
-    if path.exists():
-        return import_chain(path.read_text())
-    return Chain()
+def _read_ledger(path: Path, parse):
+    """``parse`` of the chain export at ``path``; no file is an empty chain."""
+    return parse(path.read_text() if path.exists() else "")
 
 
 def _anchor(
     volume: Volume,
     volume_dir: Path,
-    chain: Chain,
+    chain: Chain | ChainTip,
     ledger: Path,
     cluster: ValidatorCluster,
     *,
@@ -268,16 +271,20 @@ def _anchor(
     """Store ``data`` under ``logical``, link its anchor into ``chain``
     through ``cluster``, append the new block to the ``ledger`` export and
     save the volume; returns the tx id.  A path that the ledger or the
-    store cannot record is refused before anything is written.
+    store cannot record, and a tx already in ``chain``, are refused before
+    anything is written.
 
     The one anchor sequence of ``anchor`` and ``workflow``.  It calls the
     ledger and store functions through this module's names, which is where
     ``perfbench/tracing.py`` wraps them.
     """
     check_tx_path(logical)
-    ref = volume.write(logical, data)
-    volume.fsync(logical)
-    tx = anchor_tx(ref, meta, submitter=submitter, timestamp=timestamp)
+    content = ContentRef(logical, sha256_hex(data), len(data), tuple(volume.place(logical)))
+    tx = anchor_tx(content, meta, submitter=submitter, timestamp=timestamp)
+    if tx.tx_id in chain:
+        raise ValueError(f"anchor rejected: duplicate tx_id {tx.tx_id}")
+    volume.write(logical, data)
+    volume.fsync(logical, content.digest)
     block = append_anchor(chain, tx, cluster=cluster)
     if isinstance(block, Rejection):
         raise ValueError(f"anchor rejected: {block.reason}")
@@ -296,14 +303,20 @@ def _cmd_anchor(args) -> int:
         if not sep:
             raise ValueError(f"--meta needs KEY=VALUE, got {item!r}")
         meta[key] = value
+    # all that can refuse the call comes before a missing volume is created
+    chain = _read_ledger(args.ledger, scan_tip)
+    cluster = ValidatorCluster(n=settings.validators, f=1, seed=args.seed)
+    data = args.input.read_bytes()
+    logical = args.path if args.path is not None else args.input.name
+    check_tx_path(logical)
     tx_id = _anchor(
         _open_or_create_volume(args.volume, settings),
         args.volume,
-        _load_chain(args.ledger),
+        chain,
         args.ledger,
-        ValidatorCluster(n=settings.validators, f=1, seed=args.seed),
-        logical=args.path if args.path is not None else args.input.name,
-        data=args.input.read_bytes(),
+        cluster,
+        logical=logical,
+        data=data,
         meta=meta,
         submitter=args.submitter,
         timestamp=args.timestamp,
@@ -314,7 +327,7 @@ def _cmd_anchor(args) -> int:
 
 def _cmd_verify(args) -> int:
     volume = open_volume(args.volume)
-    chain = _load_chain(args.ledger)
+    chain = _read_ledger(args.ledger, import_chain)
     result = verify_anchor(chain, args.tx, volume)
     print(f"{result.status}: {result.detail}")
     if result.status == VERIFY_OK:
@@ -378,7 +391,7 @@ def _cmd_workflow(args) -> int:
 
     def h_wp1(node, inputs):
         ctx["volume"] = _open_or_create_volume(workdir / "volume", settings)
-        ctx["chain"] = _load_chain(workdir / "chain.txt")
+        ctx["chain"] = _read_ledger(workdir / "chain.txt", scan_tip)
         ctx["cluster"] = ValidatorCluster(n=settings.validators, f=1, seed=args.seed)
         ctx["query"] = route_query_for(
             length_km=settings.fixture_length_km, radius_m=settings.route_radius_m

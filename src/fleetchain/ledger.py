@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from .store import (
     BlobGoneError,
@@ -22,6 +22,7 @@ from .store import (
     IntegrityError,
     NotFoundError,
     Volume,
+    check_field,
     sha256_hex,
 )
 
@@ -171,7 +172,8 @@ class Chain:
     """In-memory block sequence with a ``tx_id -> height`` index.
 
     The constructor indexes the blocks it is given; after that
-    :func:`append_anchor` is the only appender and keeps the index current.
+    :func:`append_anchor`, through :meth:`link`, is the only appender and
+    keeps the index current.
     When an id occurs more than once the index holds its first height.
     ``imported`` chains carry reduced transaction fields (see
     :func:`import_chain`) and skip id re-hashing during verification."""
@@ -192,6 +194,15 @@ class Chain:
     def height(self) -> int:
         return len(self.blocks)
 
+    def __contains__(self, tx_id: str) -> bool:
+        return tx_id in self.tx_heights
+
+    def link(self, block: Block) -> None:
+        """Append ``block``, which :func:`append_anchor` has checked."""
+        for tx in block.tx_list:
+            self.tx_heights.setdefault(tx.tx_id, self.height)
+        self.blocks.append(block)
+
     def find_tx(self, tx_id: str) -> tuple[Block, AnchorTx] | None:
         """The block at the indexed height and its first tx with this id;
         a block swapped into ``blocks`` since is the one returned."""
@@ -205,6 +216,27 @@ class Chain:
         return None
 
 
+@dataclass
+class ChainTip:
+    """What linking the next block needs of a chain: its height, tip hash
+    and tx ids, as :func:`scan_tip` reads them without building a block.
+    It holds no blocks, so :func:`verify_chain` and :func:`verify_anchor`
+    refuse it rather than verify it vacuously."""
+
+    height: int = 0
+    tip_hash: str = ZERO_HASH
+    tx_ids: set[str] = field(default_factory=set)
+
+    def __contains__(self, tx_id: str) -> bool:
+        return tx_id in self.tx_ids
+
+    def link(self, block: Block) -> None:
+        """Advance past ``block``, which :func:`append_anchor` has checked."""
+        self.tx_ids.update(tx.tx_id for tx in block.tx_list)
+        self.height += 1
+        self.tip_hash = block.block_hash
+
+
 class ConsensusCluster(Protocol):
     def propose(self, block: Block) -> bool: ...
 
@@ -215,25 +247,30 @@ class Rejection:
 
 
 def append_anchor(
-    chain: Chain, tx: AnchorTx, *, cluster: ConsensusCluster | None = None
+    chain: Chain | ChainTip, tx: AnchorTx, *, cluster: ConsensusCluster | None = None
 ) -> Block | Rejection:
     """Link one transaction as the next block.
 
     A duplicate transaction id is rejected before any consensus round.
     When a ``cluster`` is given the block only links after the round decides.
     """
-    if tx.tx_id in chain.tx_heights:
+    if tx.tx_id in chain:
         return Rejection(reason=f"duplicate tx_id {tx.tx_id}")
     block = make_block(chain.height, chain.tip_hash, [tx])
     if cluster is not None and not cluster.propose(block):
         return Rejection(reason="consensus round did not decide")
-    chain.tx_heights[tx.tx_id] = chain.height
-    chain.blocks.append(block)
+    chain.link(block)
     return block
+
+
+def _require_blocks(chain: Chain) -> None:
+    if not isinstance(chain, Chain):
+        raise TypeError(f"verification needs a Chain of blocks, not {type(chain).__name__}")
 
 
 def verify_chain(chain: Chain) -> None:
     """Re-validate linkage from genesis; raises at the first bad height."""
+    _require_blocks(chain)
     prev = ZERO_HASH
     for i, block in enumerate(chain.blocks):
         if block.height != i:
@@ -273,6 +310,7 @@ def verify_anchor(chain: Chain, tx_id: str, volume: Volume) -> VerifyResult:
     gone, reports "missing"; every other discrepancy is a "mismatch" naming
     what broke.
     """
+    _require_blocks(chain)
     located = chain.find_tx(tx_id)
     if located is None:
         return VerifyResult(VERIFY_MISSING, f"tx {tx_id} not present in chain")
@@ -315,9 +353,11 @@ def verify_anchor(chain: Chain, tx_id: str, volume: Volume) -> VerifyResult:
 # --- text export ------------------------------------------------------------
 
 def check_tx_path(path: str) -> None:
-    """Refuse a path that the comma-separated tx line cannot hold."""
+    """Refuse a path that the comma-separated tx line, or the tab-separated
+    rows of the store's sidecars, cannot hold."""
     if "," in path:
         raise ValueError(f"path {path!r}: chain.txt tx fields must not contain commas")
+    check_field(path, "path")
 
 
 def export_chain(chain: Chain) -> str:
@@ -335,6 +375,41 @@ def export_chain(chain: Chain) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _parse_export(text: str) -> Iterator[tuple[int, str, str, list[tuple[str, str, str, int]]]]:
+    """``(height, prev_hash, block_hash, txs)`` per block of
+    :func:`export_chain` output, each tx as ``(tx_id, path, digest, size)``;
+    blank lines are skipped.  Raises ``ValueError`` at the first malformed
+    line."""
+    block = None  # the block being read: height, prev_hash, block_hash, tx_count
+    txs: list[tuple[str, str, str, int]] = []
+    for line in text.splitlines():
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if block is not None:
+            if len(txs) < block[3]:
+                if not line.startswith("  "):
+                    break
+                tparts = stripped.split(",")
+                if len(tparts) != 4:
+                    raise ValueError(f"bad tx line: {line!r}")
+                tx_id, path, digest, size = tparts
+                txs.append((tx_id, path, digest, int(size)))
+                continue
+            yield block[0], block[1], block[2], txs
+            block, txs = None, []
+        if line.startswith("  "):
+            raise ValueError(f"unexpected tx line without block header: {line!r}")
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"bad block header: {line!r}")
+        block = int(parts[0]), parts[1], parts[2], int(parts[3])
+    if block is not None:
+        if len(txs) < block[3]:
+            raise ValueError(f"block {block[0]} promises {block[3]} txs, found {len(txs)}")
+        yield block[0], block[1], block[2], txs
+
+
 def import_chain(text: str) -> Chain:
     """Parse :func:`export_chain` output.
 
@@ -342,40 +417,35 @@ def import_chain(text: str) -> Chain:
     resulting chain is marked ``imported``: linkage and merkle structure
     re-validate, transaction ids are taken as recorded.
     """
-    blocks: list[Block] = []
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        if line.startswith("  "):
-            raise ValueError(f"unexpected tx line without block header: {line!r}")
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"bad block header: {line!r}")
-        height, prev_hash, block_hash = int(parts[0]), parts[1], parts[2]
-        tx_count = int(parts[3])
-        txs = []
-        for j in range(tx_count):
-            i += 1
-            if i >= len(lines) or not lines[i].startswith("  "):
-                raise ValueError(f"block {height} promises {tx_count} txs, found {j}")
-            tparts = lines[i].strip().split(",")
-            if len(tparts) != 4:
-                raise ValueError(f"bad tx line: {lines[i]!r}")
-            tx_id, path, digest, size = tparts
-            txs.append(
+    blocks = [
+        Block(
+            height=height,
+            prev_hash=prev_hash,
+            tx_list=tuple(
                 AnchorTx(
                     tx_id=tx_id,
-                    content=ContentRef(
-                        path=path, digest=digest, size_bytes=int(size), brick_ids=()
-                    ),
+                    content=ContentRef(path=path, digest=digest, size_bytes=size, brick_ids=()),
                     index_meta=(),
                     submitter="",
                     timestamp=0.0,
                 )
-            )
-        blocks.append(
-            Block(height=height, prev_hash=prev_hash, tx_list=tuple(txs), block_hash=block_hash)
+                for tx_id, path, digest, size in txs
+            ),
+            block_hash=block_hash,
         )
-        i += 1
+        for height, prev_hash, block_hash, txs in _parse_export(text)
+    ]
     return Chain(blocks, imported=True)
+
+
+def scan_tip(text: str) -> ChainTip:
+    """Height, tip hash and tx ids of :func:`export_chain` output, parsed
+    as :func:`import_chain` parses it (refusing the same texts) but
+    building no block or transaction."""
+    tip = ChainTip()
+    for _, _, block_hash, txs in _parse_export(text):
+        tip.height += 1
+        tip.tip_hash = block_hash
+        for tx in txs:
+            tip.tx_ids.add(tx[0])
+    return tip

@@ -18,6 +18,8 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from operator import countOf
+from typing import NamedTuple
 
 from .ledger import Block
 
@@ -34,8 +36,7 @@ FAULT_CORRUPT = "corrupt"
 CLIENT = -1
 
 
-@dataclass(frozen=True)
-class PbftMessage:
+class PbftMessage(NamedTuple):
     phase: str
     view: int
     seq: int
@@ -87,25 +88,25 @@ class ValidatorNode:
     def on_message(self, msg: PbftMessage) -> list[tuple[int, PbftMessage]]:
         if self.fault == FAULT_SILENT:
             return []
-        out: list[tuple[int, PbftMessage]] = []
-        view, seq = msg.view, msg.seq
+        phase, view, seq = msg.phase, msg.view, msg.seq
 
-        if msg.phase == PH_REQUEST:
-            if self.is_primary(view):
-                seq = self.next_seq
-                self.next_seq += 1
-                digest = msg.digest
-                slot = self._slot(view, seq)
-                slot[PH_PRE_PREPARE][self.id] = digest
-                self.blocks[(view, seq)] = msg.block
-                out.extend(
-                    self._broadcast(
-                        PbftMessage(PH_PRE_PREPARE, view, seq, digest, self.id, msg.block)
-                    )
-                )
-            return self._tainted(out)
+        if phase == PH_PREPARE or phase == PH_COMMIT:
+            slot = self._slot(view, seq)
+            slot[phase][msg.sender] = msg.digest
+            out = self._advance(view, seq, slot)
 
-        if msg.phase == PH_PRE_PREPARE:
+        elif phase == PH_REQUEST:
+            if not self.is_primary(view):
+                return []
+            seq = self.next_seq
+            self.next_seq += 1
+            self._slot(view, seq)[PH_PRE_PREPARE][self.id] = msg.digest
+            self.blocks[(view, seq)] = msg.block
+            out = self._broadcast(
+                PbftMessage(PH_PRE_PREPARE, view, seq, msg.digest, self.id, msg.block)
+            )
+
+        elif phase == PH_PRE_PREPARE:
             if msg.sender != view % self.n:
                 return []
             if msg.block is None or msg.block.block_hash != msg.digest:
@@ -115,26 +116,16 @@ class ValidatorNode:
                 return []
             slot[PH_PRE_PREPARE][msg.sender] = msg.digest
             self.blocks[(view, seq)] = msg.block
+            out = []
             if (view, seq) not in self.sent_prepare and not self.is_primary(view):
                 self.sent_prepare.add((view, seq))
                 slot[PH_PREPARE][self.id] = msg.digest
-                out.extend(
-                    self._broadcast(PbftMessage(PH_PREPARE, view, seq, msg.digest, self.id))
-                )
-            out.extend(self._advance(view, seq))
-            return self._tainted(out)
+                out = self._broadcast(PbftMessage(PH_PREPARE, view, seq, msg.digest, self.id))
+            out.extend(self._advance(view, seq, slot))
 
-        if msg.phase == PH_PREPARE:
-            self._slot(view, seq)[PH_PREPARE][msg.sender] = msg.digest
-            out.extend(self._advance(view, seq))
-            return self._tainted(out)
-
-        if msg.phase == PH_COMMIT:
-            self._slot(view, seq)[PH_COMMIT][msg.sender] = msg.digest
-            out.extend(self._advance(view, seq))
-            return self._tainted(out)
-
-        return []
+        else:
+            return []
+        return self._tainted(out) if self.fault == FAULT_CORRUPT else out
 
     def prepared(self, view: int, seq: int) -> bool:
         slot, digest = self._accepted(view, seq)
@@ -146,34 +137,34 @@ class ValidatorNode:
 
     # matching votes from distinct senders: the phase logs are keyed by sender
     def _prepared(self, slot: dict[str, dict[int, str]], digest: str) -> bool:
-        return list(slot[PH_PREPARE].values()).count(digest) >= 2 * self.f
+        return countOf(slot[PH_PREPARE].values(), digest) >= 2 * self.f
 
     def _committed(self, slot: dict[str, dict[int, str]], digest: str) -> bool:
-        return list(slot[PH_COMMIT].values()).count(digest) >= 2 * self.f + 1
+        return countOf(slot[PH_COMMIT].values(), digest) >= 2 * self.f + 1
 
-    def _advance(self, view: int, seq: int) -> list[tuple[int, PbftMessage]]:
-        out: list[tuple[int, PbftMessage]] = []
-        slot, digest = self._accepted(view, seq)
+    def _advance(
+        self, view: int, seq: int, slot: dict[str, dict[int, str]]
+    ) -> list[tuple[int, PbftMessage]]:
+        """Messages that the votes now in ``slot`` (of ``(view, seq)``) call for."""
+        digest = slot[PH_PRE_PREPARE].get(view % self.n)
         if digest is None:
-            return out
+            return []
         key = (view, seq)
         if key not in self.sent_commit and self._prepared(slot, digest):
             self.sent_commit.add(key)
             slot[PH_COMMIT][self.id] = digest
-            out.extend(self._broadcast(PbftMessage(PH_COMMIT, view, seq, digest, self.id)))
-            out.extend(self._advance(view, seq))
+            out = self._broadcast(PbftMessage(PH_COMMIT, view, seq, digest, self.id))
+            out.extend(self._advance(view, seq, slot))
             return out
         if key not in self.executed and self._committed(slot, digest):
             block = self.blocks.get(key)
             if block is not None:
                 self.executed.add(key)
                 self.chain.append(block)
-                out.append((CLIENT, PbftMessage(PH_REPLY, view, seq, digest, self.id)))
-        return out
+                return [(CLIENT, PbftMessage(PH_REPLY, view, seq, digest, self.id))]
+        return []
 
     def _tainted(self, out: list[tuple[int, PbftMessage]]) -> list[tuple[int, PbftMessage]]:
-        if self.fault != FAULT_CORRUPT:
-            return out
         mangled = []
         for dst, msg in out:
             mangled.append(
@@ -204,23 +195,25 @@ class SimulatedNetwork:
         self._queue: list[tuple[float, int, int, PbftMessage]] = []
         self._counter = 0
 
-    def _drop_prob(self, src: int, dst: int) -> float:
-        if src == CLIENT or dst == CLIENT:
-            return 0.0  # client links are out of scope for the loss schedule
-        return self.link_drop.get((src, dst), self.default_drop)
-
     def send(self, src: int, dst: int, msg: PbftMessage) -> None:
         self.sent += 1
-        if self.rng.random() < self._drop_prob(src, dst):
+        if src == CLIENT or dst == CLIENT:
+            drop = 0.0  # client links are out of scope for the loss schedule
+        else:
+            drop = self.link_drop.get((src, dst), self.default_drop)
+        draw = self.rng.random
+        if draw() < drop:
             self.dropped += 1
             return
-        delay = self.rng.uniform(*self.delay_range)
+        lo, hi = self.delay_range
+        delay = lo + (hi - lo) * draw()  # Random.uniform(lo, hi), without the call
         self._counter += 1
         heapq.heappush(self._queue, (self.now + delay, self._counter, dst, msg))
 
     def run(self, nodes: dict[int, ValidatorNode], client: "Client") -> None:
-        while self._queue:
-            t, _, dst, msg = heapq.heappop(self._queue)
+        queue, send = self._queue, self.send
+        while queue:
+            t, _, dst, msg = heapq.heappop(queue)
             self.now = max(self.now, t)
             if dst == CLIENT:
                 client.on_reply(msg)
@@ -229,7 +222,7 @@ class SimulatedNetwork:
             if node is None:
                 continue
             for next_dst, next_msg in node.on_message(msg):
-                self.send(node.id, next_dst, next_msg)
+                send(node.id, next_dst, next_msg)
 
 
 class Client:

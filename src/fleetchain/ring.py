@@ -67,8 +67,14 @@ class HashRing:
             raise ValueError("vnodes_per_brick must be >= 1")
         points = []
         for brick_id in brick_ids:
+            # FNV-1a streams: hash the "<brick_id>#" prefix once, then each
+            # vnode number from that state, as ring_hash(f"{brick_id}#{i}")
+            prefix = fnv1a64(f"{brick_id}#")
             for i in range(vnodes_per_brick):
-                points.append((ring_hash(f"{brick_id}#{i}"), brick_id))
+                h = prefix
+                for byte in str(i).encode():
+                    h = ((h ^ byte) * FNV64_PRIME) & _MASK64
+                points.append((_mix64(h), brick_id))
         points.sort()
         return cls(
             points=tuple(points),

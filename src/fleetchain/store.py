@@ -114,7 +114,7 @@ class DirEntry:
     digest: str | None
 
 
-def _check_field(value: str, what: str) -> None:
+def check_field(value: str, what: str) -> None:
     """Refuse a tab or any line break that ``str.splitlines`` splits on: a
     sidecar row is one line of tab-separated fields."""
     if "\t" in value or "".join(value.splitlines()) != value:
@@ -125,44 +125,95 @@ def _rows(sidecar: Path) -> list[list[str]]:
     """Tab-separated rows of an append-only sidecar, oldest first."""
     if not sidecar.exists():
         return []
-    return [line.split("\t") for line in sidecar.read_text().splitlines() if line]
+    return [line.split("\t") for line in sidecar.read_text("utf-8").splitlines() if line]
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """``os.write`` until every byte is written: a write may take fewer."""
+    written = os.write(fd, data)
+    while written < len(data):
+        written += os.write(fd, data[written:])
 
 
 def _append_row(sidecar: Path, *fields: str) -> None:
-    with sidecar.open("a") as fh:
-        fh.write("\t".join(fields) + "\n")
+    fd = os.open(sidecar, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        _write_all(fd, ("\t".join(fields) + "\n").encode("utf-8"))
+    finally:
+        os.close(fd)
 
 
 class Brick:
-    """One storage target rooted at a directory."""
+    """One storage target rooted at a directory.
+
+    ``index``, ``versions`` and ``xattrs`` mirror the sidecars; each sidecar
+    is parsed when one of them is first read, under the brick's lock, and
+    appends made before that are read from the file."""
 
     def __init__(self, brick_id: str, root: Path) -> None:
         self.id = brick_id
         self.root = Path(root)
         self.live = True
-        self.index: dict[str, tuple[str, int]] = {}
-        # every (path, digest) the index ever recorded, current or superseded
-        self.versions: set[tuple[str, str]] = set()
-        self.xattrs: dict[str, dict[str, str]] = {}
         self.stats: dict[str, FopStats] = {op: FopStats(op) for op in TRACKED_FOPS}
         self.lock = threading.Lock()
         self.blobs = self.root / "blobs"
         self.index_file = self.root / "index.tsv"
         self.xattr_file = self.root / "xattr.tsv"
         self.blobs.mkdir(parents=True, exist_ok=True)
-        for path, digest, size in _rows(self.index_file):
-            self.index[path] = (digest, int(size))
-            self.versions.add((path, digest))
-        for path, key, value in _rows(self.xattr_file):
-            self.xattrs.setdefault(path, {})[key] = value
+        self.blob_dir = os.fspath(self.blobs)  # the write path names blobs by string
+        self._index: dict[str, tuple[str, int]] | None = None
+        # every (path, digest) the index ever recorded, current or superseded
+        self._versions: set[tuple[str, str]] = set()
+        self._xattrs: dict[str, dict[str, str]] | None = None
+
+    def _load_index(self) -> None:
+        with self.lock:
+            if self._index is None:
+                index = {}
+                for path, digest, size in _rows(self.index_file):
+                    index[path] = (digest, int(size))
+                    self._versions.add((path, digest))
+                self._index = index
+
+    @property
+    def index(self) -> dict[str, tuple[str, int]]:
+        if self._index is None:
+            self._load_index()
+        return self._index
+
+    @property
+    def versions(self) -> set[tuple[str, str]]:
+        if self._index is None:
+            self._load_index()
+        return self._versions
+
+    @property
+    def xattrs(self) -> dict[str, dict[str, str]]:
+        if self._xattrs is None:
+            with self.lock:
+                if self._xattrs is None:
+                    xattrs: dict[str, dict[str, str]] = {}
+                    for path, key, value in _rows(self.xattr_file):
+                        xattrs.setdefault(path, {})[key] = value
+                    self._xattrs = xattrs
+        return self._xattrs
 
     def blob_path(self, digest: str) -> Path:
         return self.blobs / digest
 
     def append_index(self, path: str, digest: str, size: int) -> None:
-        self.index[path] = (digest, size)
-        self.versions.add((path, digest))
-        _append_row(self.index_file, path, digest, str(size))
+        with self.lock:
+            _append_row(self.index_file, path, digest, str(size))
+            if self._index is not None:
+                self._index[path] = (digest, size)
+                self._versions.add((path, digest))
+
+    def set_xattr(self, path: str, key: str, value: str) -> None:
+        # setters on other paths share this brick's xattrs and its sidecar
+        with self.lock:
+            _append_row(self.xattr_file, path, key, value)
+            if self._xattrs is not None:
+                self._xattrs.setdefault(path, {})[key] = value
 
     def record(self, op: str, duration_us: float) -> None:
         with self.lock:
@@ -282,18 +333,25 @@ class Volume:
             return ContentRef(path=path, digest=digest, size_bytes=size, brick_ids=tuple(owners))
         raise NotFoundError(f"{path!r} not found on any live replica")
 
-    def fsync(self, path: str) -> None:
-        """Flush the blob behind ``path`` on every live replica."""
+    def fsync(self, path: str, digest: str | None = None) -> None:
+        """Flush the blob behind ``path`` on every live replica.  ``digest``
+        (default: the replica's current entry) names the version, as the
+        digest of the write this follows; a replica without it is skipped."""
         live = self._live_replicas(path)
         found = False
         for brick in live:
-            entry = brick.index.get(path)
-            if entry is None:
-                continue
+            if digest is None:
+                entry = brick.index.get(path)
+                if entry is None:
+                    continue
+                blob = f"{brick.blob_dir}/{entry[0]}"
+            else:
+                blob = f"{brick.blob_dir}/{digest}"
+                if not os.path.isfile(blob):
+                    continue
             found = True
-            blob = brick.blob_path(entry[0])
 
-            def _do(blob: Path = blob) -> None:
+            def _do(blob: str = blob) -> None:
                 fd = os.open(blob, os.O_RDONLY)
                 try:
                     os.fsync(fd)
@@ -339,8 +397,8 @@ class Volume:
 
     def fxattrop(self, path: str, key: str, value: str) -> None:
         """Atomically set an extended attribute on every live replica."""
-        _check_field(key, "xattr key")
-        _check_field(value, "xattr value")
+        check_field(key, "xattr key")
+        check_field(value, "xattr value")
         with self._path_lock(path):
             live = self._live_replicas(path)
             found = False
@@ -349,14 +407,9 @@ class Volume:
                     continue
                 found = True
 
-                def _do(brick: Brick = brick) -> None:
-                    # brick-level lock: setters on *other* paths share this
-                    # brick's xattrs and its append-only sidecar
-                    with brick.lock:
-                        brick.xattrs.setdefault(path, {})[key] = value
-                        _append_row(brick.xattr_file, path, key, value)
-
-                self._timed(brick, FOP_FXATTROP, _do)
+                self._timed(
+                    brick, FOP_FXATTROP, lambda brick=brick: brick.set_xattr(path, key, value)
+                )
             if not found:
                 raise NotFoundError(f"{path!r} not found on any live replica")
 
@@ -412,23 +465,27 @@ class StreamWriter:
     As a context manager it aborts unless closed, so a failure frees the path."""
 
     def __init__(self, volume: Volume, path: str) -> None:
-        _check_field(path, "path")
+        check_field(path, "path")
         self.volume = volume
         self.path = path
         self.size = 0
         self._hash = hashlib.sha256()
         self._closed = False
+        self._tmp: dict[str, str] = {}  # brick id -> temporary blob name
+        self._fds: dict[str, int] = {}  # brick id -> its still open descriptor
         self._lock = volume._path_lock(path)
         self._lock.acquire()
         try:
             self.owners = tuple(volume.place(path))
             self.replicas = volume._live_replicas(path, self.owners)
-            self._tmp = {}
             for brick in self.replicas:
-                tmp = brick.blobs / f".tmp-{id(self)}-{threading.get_ident()}"
-                self._tmp[brick.id] = (tmp, tmp.open("wb"))
+                tmp = f"{brick.blob_dir}/.tmp-{id(self)}-{threading.get_ident()}"
+                self._tmp[brick.id] = tmp
+                self._fds[brick.id] = os.open(
+                    tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666
+                )
         except BaseException:
-            self._lock.release()
+            self.abort()
             raise
 
     def __enter__(self) -> "StreamWriter":
@@ -443,8 +500,8 @@ class StreamWriter:
         self._hash.update(chunk)
         self.size += len(chunk)
         for brick in self.replicas:
-            _, fh = self._tmp[brick.id]
-            self.volume._timed(brick, FOP_WRITE, lambda fh=fh: fh.write(chunk))
+            fd = self._fds[brick.id]
+            self.volume._timed(brick, FOP_WRITE, lambda fd=fd: _write_all(fd, chunk))
 
     def close(self) -> ContentRef:
         if self._closed:
@@ -452,9 +509,8 @@ class StreamWriter:
         digest = self._hash.hexdigest()
         try:
             for brick in self.replicas:
-                tmp, fh = self._tmp[brick.id]
-                fh.close()
-                tmp.replace(brick.blob_path(digest))
+                os.close(self._fds.pop(brick.id))
+                os.replace(self._tmp[brick.id], f"{brick.blob_dir}/{digest}")
                 brick.append_index(self.path, digest, self.size)
         except BaseException:
             self.abort()
@@ -468,9 +524,13 @@ class StreamWriter:
             return
         self._closed = True
         try:
-            for tmp, fh in self._tmp.values():
-                fh.close()
-                tmp.unlink(missing_ok=True)
+            for fd in self._fds.values():
+                os.close(fd)
+            for tmp in self._tmp.values():
+                try:
+                    os.unlink(tmp)
+                except FileNotFoundError:
+                    pass  # renamed into place, or never created
         finally:
             self._lock.release()
 
@@ -500,7 +560,8 @@ def create_volume(
 
 def open_volume(directory: str | Path, *, clock: Callable[[], float] = MONOTONIC) -> Volume:
     """Open a volume previously created by :func:`create_volume`, restoring
-    indexes, xattrs, and saved operation counters."""
+    its saved operation counters; each brick parses its sidecars when they
+    are first read."""
     base = Path(directory)
     meta_file = base / VOLUME_META
     if not meta_file.exists():

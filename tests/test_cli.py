@@ -18,12 +18,19 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from fleetchain import cli
+from fleetchain import cli, ledger, store
 from fleetchain.fcd import Trip, parse_fcd, serialize_fcd, write_gpx
 from fleetchain.impute import impute_trip
-from fleetchain.ledger import Chain, export_chain, import_chain, verify_anchor
+from fleetchain.ledger import (
+    Chain,
+    anchor_tx,
+    append_anchor,
+    export_chain,
+    import_chain,
+    verify_anchor,
+)
 from fleetchain.pbft import ValidatorCluster
-from fleetchain.store import create_volume, open_volume, sha256_hex
+from fleetchain.store import create_volume, open_volume, save_volume, sha256_hex
 from fleetchain.synth import route_query_for, synthetic_trip
 from fleetchain.workflow import build_graph
 
@@ -243,6 +250,7 @@ def test_anchor_exports_only_its_new_block(capsys, anchored, tmp_path, monkeypat
 
 def test_anchor_duplicate_rejected(capsys, anchored, tmp_path):
     _, vol, ledger, data = anchored
+    before = _tree(vol), ledger.read_bytes()
     again = tmp_path / "report.csv"  # same bytes, same logical path
     code, _, err = run(
         capsys,
@@ -251,6 +259,8 @@ def test_anchor_duplicate_rejected(capsys, anchored, tmp_path):
     )
     assert code == 1
     assert "duplicate" in err
+    # refused before the store was written: no index row, blob or counter
+    assert (_tree(vol), ledger.read_bytes()) == before
 
 
 def test_anchor_meta_needs_equals(capsys, tmp_path):
@@ -290,6 +300,26 @@ def test_anchor_refuses_a_path_the_ledger_or_store_cannot_record(capsys, anchore
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--input", "absent.csv"],
+        ["--input", "a,b.csv"],
+        ["--input", "report.csv", "--path", "x\ty.csv"],
+        ["--input", "report.csv", "--ledger", "torn.txt"],
+    ],
+    ids=["missing-input", "comma-name", "tab-path", "torn-ledger"],
+)
+def test_refused_anchor_leaves_no_volume_behind(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    for name in ("a,b.csv", "report.csv"):
+        (tmp_path / name).write_bytes(b"report\n")
+    (tmp_path / "torn.txt").write_text(f"0,{'0' * 64},{'a' * 64},1\n  {'b' * 64},p,d")
+    code, out, _ = run(capsys, "anchor", "--volume", "vol", "--ledger", "chain.txt", *argv)
+    assert (code, out) == (1, "")
+    assert not (tmp_path / "vol").exists()
+
+
 def test_anchor_refuses_a_comma_in_the_input_file_name(capsys, tmp_path):
     report = tmp_path / "report,v2.csv"
     report.write_bytes(b"report\n")
@@ -320,6 +350,50 @@ def test_every_path_anchor_accepts_round_trips(path, data):
         assert text == export_chain(chain)
         assert export_chain(import_chain(text)) == text
         assert verify_anchor(import_chain(text), tx_id, open_volume(vol)).status == "ok"
+
+
+@pytest.mark.parametrize("blocks", [200, 2000])
+def test_anchor_and_verify_work_does_not_grow_with_the_chain(capsys, tmp_path, monkeypatch, blocks):
+    # operations counted, not time: what anchor and verify build and parse
+    vol, ledger_file = tmp_path / "vol", tmp_path / "chain.txt"
+    volume, chain = create_volume(vol, n_bricks=3, replica_count=2), Chain()
+    for i in range(blocks):
+        ref = volume.write(f"r{i}.csv", f"{i}\n".encode())
+        volume.fxattrop(ref.path, "kind", "report")
+        assert append_anchor(chain, anchor_tx(ref)) is chain.blocks[-1]
+    ledger_file.write_text(export_chain(chain))
+    save_volume(volume, vol)
+    report = tmp_path / "new.csv"
+    report.write_bytes(b"new report\n")
+
+    built = {"AnchorTx": 0, "Block": 0}
+    for name in built:
+        cls = getattr(ledger, name)
+
+        def counting(*args, _cls=cls, _name=name, **kwargs):
+            built[_name] += 1
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(ledger, name, counting)
+    parsed = []
+    real_rows = store._rows
+
+    def counting_rows(sidecar):
+        rows = real_rows(sidecar)
+        parsed.append((sidecar.parent.name, sidecar.name, len(rows)))
+        return rows
+
+    monkeypatch.setattr(store, "_rows", counting_rows)
+    store_args = ["--volume", str(vol), "--ledger", str(ledger_file)]
+    code, out, _ = run(capsys, "anchor", "--input", str(report), *store_args)
+    assert code == 0
+    # only the new tx and its block; no sidecar row of any brick
+    assert (built, parsed) == ({"AnchorTx": 1, "Block": 1}, [])
+
+    code, out, _ = run(capsys, "verify", "--tx", out.strip(), *store_args)
+    assert code == 0
+    placed = open_volume(vol).place(report.name)
+    assert parsed and all(brick in placed and name == "index.tsv" for brick, name, _ in parsed)
 
 
 def test_verify_tampered_blob_exits_2(capsys, anchored):

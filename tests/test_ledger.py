@@ -11,7 +11,7 @@ import hashlib
 import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetchain.ledger import (
@@ -23,6 +23,7 @@ from fleetchain.ledger import (
     Block,
     Chain,
     ChainIntegrityError,
+    ChainTip,
     Rejection,
     anchor_tx,
     append_anchor,
@@ -33,6 +34,7 @@ from fleetchain.ledger import (
     import_chain,
     make_block,
     merkle_root,
+    scan_tip,
     verify_anchor,
     verify_chain,
 )
@@ -330,6 +332,88 @@ def test_import_validation():
         import_chain(f"0,{ZERO_HASH},{'a' * 64},2\n  t,p,d,1\n")
     with pytest.raises(ValueError, match="bad tx line"):
         import_chain(f"0,{ZERO_HASH},{'a' * 64},1\n  only,three,fields\n")
+
+
+# --- tip scan ----------------------------------------------------------------
+
+def parsed(parse, text):
+    """Height, tip hash and tx ids that ``parse`` reads, or its refusal."""
+    try:
+        chain = parse(text)
+    except ValueError as exc:
+        return "refused", str(exc)
+    tx_ids = chain.tx_ids if isinstance(chain, ChainTip) else set(chain.tx_heights)
+    return chain.height, chain.tip_hash, tx_ids
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(st.text(max_size=10), st.integers(min_value=0, max_value=2**40)),
+        min_size=1,
+        max_size=30,
+    ),
+    junk=st.sampled_from([",", "\n", " ", "x", "0", "-", "\u2028"]),
+)
+def test_tip_scan_reads_or_refuses_what_import_does(specs, junk):
+    chain = Chain()
+    for i, (path, size) in enumerate(specs):
+        ref = ContentRef(path, sha256_hex(str(i).encode()), size, ("brick-00",))
+        assert isinstance(append_anchor(chain, anchor_tx(ref, timestamp=float(i))), Block)
+    text = export_chain(chain)
+    variants = [text[:cut] for cut in range(len(text) + 1)]
+    variants += [text[:at] + junk + text[at + 1:] for at in range(len(text))]
+    for variant in variants:
+        assert parsed(scan_tip, variant) == parsed(import_chain, variant), variant
+
+
+H = "a" * 64
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"0,{ZERO_HASH},{H},-1\n1,{H},{'b' * 64},0\n",  # a negative count promises nothing
+        f"\n  \n0,{ZERO_HASH},{H},1\r\n\n   \n  t, p ,d, 7 \n\n",  # blank lines, CRLF
+        f" 0,{ZERO_HASH},{H},1\n  t,p,d,1\n",  # one leading space is still a header
+        f"0,{ZERO_HASH},{H},1\n  t,p,d,1\n  u,p,d,1\n",  # an extra tx line
+        f"0,{ZERO_HASH},{H},1\n  t,p,d,x\n",  # a size that is no integer
+        f"x,{ZERO_HASH},{H},y\n",  # height checked before count
+        f"0,{ZERO_HASH},{H},{10**9}\n  t,p,d,1\n",
+    ],
+)
+def test_tip_scan_agrees_with_import_on_odd_texts(text):
+    assert parsed(scan_tip, text) == parsed(import_chain, text)
+
+
+def test_tip_scan_of_an_intact_export(volume):
+    chain, txs = build_chain(volume, 4)
+    tip = scan_tip(export_chain(chain))
+    assert (tip.height, tip.tip_hash) == (4, chain.tip_hash)
+    assert tip.tx_ids == {tx.tx_id for tx in txs}
+    assert scan_tip("") == ChainTip(0, ZERO_HASH, set())
+
+
+def test_append_to_a_tip_links_the_block_a_chain_would(volume):
+    chain, txs = build_chain(volume, 3)
+    tip = scan_tip(export_chain(chain))
+    tx = stored_tx(volume, "reports/next.csv", b"next\n")
+    block = append_anchor(tip, tx)
+    assert block == append_anchor(chain, tx)
+    assert (tip.height, tip.tip_hash) == (chain.height, chain.tip_hash)
+    assert tx.tx_id in tip
+    rejected = append_anchor(tip, txs[0], cluster=ValidatorCluster())
+    assert isinstance(rejected, Rejection) and "duplicate" in rejected.reason
+
+
+def test_a_tip_cannot_be_verified(volume):
+    # it holds no blocks, so verifying it would pass vacuously
+    chain, txs = build_chain(volume, 2)
+    tip = scan_tip(export_chain(chain))
+    with pytest.raises(TypeError, match="ChainTip"):
+        verify_chain(tip)
+    with pytest.raises(TypeError, match="ChainTip"):
+        verify_anchor(tip, txs[0].tx_id, volume)
 
 
 # --- anchored-file audit -----------------------------------------------------

@@ -152,6 +152,24 @@ def test_place_validation():
         ring.place("p", 4)
 
 
+@pytest.mark.parametrize("vnodes", [1, 7, 100, 1001])
+@pytest.mark.parametrize(
+    "brick_ids",
+    [
+        ("solo",),
+        BRICKS[:2],
+        BRICKS,
+        ("brück-0", "磚-1", "🧱", "", "b#1"),
+        tuple(f"node {k}" for k in range(5)),
+    ],
+)
+def test_build_points_equal_the_unstreamed_vnode_hashes(brick_ids, vnodes):
+    # the reference: each vnode label hashed whole, not carried on from
+    # the hash state of its "<brick_id>#" prefix
+    expected = sorted((ring_hash(f"{b}#{i}"), b) for b in brick_ids for i in range(vnodes))
+    assert HashRing.build(brick_ids, vnodes_per_brick=vnodes).points == tuple(expected)
+
+
 def test_default_vnode_count():
     ring = HashRing.build(BRICKS)
     assert len(ring.points) == 3 * VNODES_PER_BRICK

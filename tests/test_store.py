@@ -7,6 +7,7 @@ strict equality holds — no tolerance bands hiding an off-by-one clock call.
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -271,6 +272,18 @@ def test_every_fop_costs_exactly_one_step(tmp_path):
     assert totals[FOP_READDIRP] == 3  # one per live brick
 
 
+def test_fsync_of_a_named_version(tmp_path):
+    vol, _ = dyadic_volume(tmp_path, replica_count=2)
+    first = vol.write("p", b"first")
+    vol.write("p", b"second")
+    reopened = open_volume(tmp_path / "vol")
+    reopened.fsync("p", first.digest)  # the superseded version, by its digest
+    assert sum(b.stats[FOP_FSYNC].calls for b in reopened.bricks.values()) == 2
+    assert all(b._index is None for b in reopened.bricks.values())  # no index parsed
+    with pytest.raises(NotFoundError):
+        reopened.fsync("p", sha256_hex(b"never written"))
+
+
 def test_read_is_accounted_as_lookup(tmp_path):
     vol, _ = dyadic_volume(tmp_path)
     ref = vol.write("solo", b"z")
@@ -407,6 +420,19 @@ def test_failed_close_frees_the_path_without_with(tmp_path, monkeypatch):
     assert vol.read("p") == b"payload"
 
 
+def test_failed_replica_open_removes_the_other_temporaries(tmp_path):
+    vol, _ = dyadic_volume(tmp_path, replica_count=2)
+    first, second = owner_bricks(vol, "p")
+    second.blobs.rmdir()  # its temporary blob cannot be created
+    with pytest.raises(FileNotFoundError):
+        vol.write("p", b"payload")
+    assert list(first.blobs.glob(".tmp-*")) == []
+    assert not vol._path_lock("p").locked()
+    second.blobs.mkdir()
+    vol.write("p", b"payload")
+    assert vol.read("p") == b"payload"
+
+
 def test_read_selects_a_version_by_digest(tmp_path):
     vol, _ = dyadic_volume(tmp_path, n_bricks=1)
     first = vol.write("p", b"first")
@@ -528,6 +554,44 @@ def test_concurrent_writes_distinct_paths(tmp_path):
     reopened = open_volume(tmp_path / "vol")
     for path, data in payload.items():
         assert reopened.read(path) == data
+
+
+def test_sidecars_loaded_on_first_use_keep_concurrent_appends(tmp_path):
+    vol = create_volume(tmp_path / "vol", n_bricks=3, replica_count=2)
+    for i in range(200):
+        vol.write(f"old{i}", f"old {i}".encode())
+        vol.fxattrop(f"old{i}", "k", str(i))
+
+    def worker(volume, start, run, t):
+        start.wait(timeout=60)
+        for i in range(10):
+            if t % 2:  # readers parse each sidecar while the writers append to it
+                old = f"old{(t * 10 + i) * 3 % 200}"
+                assert volume.read(old) == old.replace("old", "old ").encode()
+                assert volume.xattrs(old) == {"k": old[3:]}
+            else:
+                path = f"new{run}/{t}/{i}"
+                volume.write(path, path.encode())
+                volume.fxattrop(path, "k", "v")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for run in range(4):
+            reopened = open_volume(tmp_path / "vol")  # nothing parsed yet
+            start = threading.Barrier(8)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(worker, reopened, start, run, t) for t in range(8)]
+                for future in futures:
+                    future.result(timeout=60)
+            # an append lost between a sidecar's read and its load shows here
+            cold = open_volume(tmp_path / "vol")
+            for brick_id, brick in reopened.bricks.items():
+                assert brick.index == cold.bricks[brick_id].index
+                assert brick.versions == cold.bricks[brick_id].versions
+                assert brick.xattrs == cold.bricks[brick_id].xattrs
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_concurrent_writes_same_path_serialize(tmp_path):
