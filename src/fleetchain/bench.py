@@ -19,7 +19,7 @@ import random
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .clock import MONOTONIC
 from .store import UnavailableError, Volume

@@ -268,11 +268,11 @@ def _anchor(
     submitter: str,
     timestamp: float,
 ) -> str:
-    """Store ``data`` under ``logical``, link its anchor into ``chain``
-    through ``cluster``, append the new block to the ``ledger`` export and
-    save the volume; returns the tx id.  A path that the ledger or the
-    store cannot record, and a tx already in ``chain``, are refused before
-    anything is written.
+    """Link the anchor of ``data`` into ``chain`` through ``cluster``, store
+    ``data`` under ``logical``, append the new block to the ``ledger`` export
+    and save the volume; returns the tx id.  A path that the ledger or the
+    store cannot record, a tx already in ``chain`` and a round that does not
+    decide are refused before anything is written.
 
     The one anchor sequence of ``anchor`` and ``workflow``.  It calls the
     ledger and store functions through this module's names, which is where
@@ -281,13 +281,11 @@ def _anchor(
     check_tx_path(logical)
     content = ContentRef(logical, sha256_hex(data), len(data), tuple(volume.place(logical)))
     tx = anchor_tx(content, meta, submitter=submitter, timestamp=timestamp)
-    if tx.tx_id in chain:
-        raise ValueError(f"anchor rejected: duplicate tx_id {tx.tx_id}")
-    volume.write(logical, data)
-    volume.fsync(logical, content.digest)
     block = append_anchor(chain, tx, cluster=cluster)
     if isinstance(block, Rejection):
         raise ValueError(f"anchor rejected: {block.reason}")
+    volume.write(logical, data)
+    volume.fsync(logical, content.digest)
     # the export of a chain is the concatenation of its blocks' exports
     with ledger.open("a") as fh:
         fh.write(export_chain(Chain([block])))

@@ -159,19 +159,25 @@ def parse_fcd(source: str | IO[str]) -> tuple[list[Trip], int]:
         except ValueError as exc:
             raise FcdParseError(str(exc), line=lineno) from exc
         groups.setdefault(trip_id, []).append(point)
+    return _assemble_trips(groups.items(), "trip")
 
+
+def _assemble_trips(
+    groups: Iterable[tuple[str, list[GpsPoint]]], kind: str
+) -> tuple[list[Trip], int]:
+    """``(trips, dropped)`` from ``(trip_id, points)`` groups: a group of
+    fewer than two points is dropped and counted, the others are sorted by
+    timestamp; a repeated timestamp in one group raises FcdParseError."""
     trips: list[Trip] = []
     dropped = 0
-    for trip_id, points in groups.items():
+    for trip_id, points in groups:
         if len(points) < 2:
             dropped += 1
             continue
         points.sort(key=lambda p: p.timestamp)
         for a, b in zip(points, points[1:]):
             if a.timestamp == b.timestamp:
-                raise FcdParseError(
-                    f"trip {trip_id!r} has duplicate timestamp {a.timestamp}"
-                )
+                raise FcdParseError(f"{kind} {trip_id!r} has duplicate timestamp {a.timestamp}")
         trips.append(Trip(id=trip_id, points=tuple(points)))
     return trips, dropped
 
@@ -222,6 +228,10 @@ def parse_gpx(source: str | IO[str]) -> tuple[list[Trip], int]:
     name is the trip id.  ``<time>`` is required per point; an optional
     ``<extensions>`` speed in m/s is converted to km/h, else speed is 0.
     Tracks with fewer than two points are dropped and counted.
+
+    Raises:
+        FcdParseError: on invalid XML, a malformed or out-of-range point, or
+            a track with two points at the same time.
     """
     text = source if isinstance(source, str) else source.read()
     try:
@@ -229,8 +239,7 @@ def parse_gpx(source: str | IO[str]) -> tuple[list[Trip], int]:
     except ET.ParseError as exc:
         raise FcdParseError(f"invalid GPX XML: {exc}") from exc
 
-    trips: list[Trip] = []
-    dropped = 0
+    tracks: list[tuple[str, list[GpsPoint]]] = []
     trk_index = 0
     for trk in root.iter():
         if _local(trk.tag) != "trk":
@@ -245,30 +254,29 @@ def parse_gpx(source: str | IO[str]) -> tuple[list[Trip], int]:
             if _local(node.tag) != "trkpt":
                 continue
             try:
-                lat = float(node.attrib["lat"])
-                lon = float(node.attrib["lon"])
-            except (KeyError, ValueError) as exc:
-                raise FcdParseError(f"trkpt missing lat/lon: {exc}") from exc
-            timestamp = None
-            speed_kmh = 0.0
-            for sub in node.iter():
-                tag = _local(sub.tag)
-                if tag == "time" and sub.text:
-                    timestamp = _iso_to_epoch(sub.text)
-                elif tag == "speed" and sub.text:
-                    speed_kmh = float(sub.text) * 3.6
-            if timestamp is None:
-                raise FcdParseError(f"trkpt in track {trip_id!r} has no <time>")
-            points.append(GpsPoint(timestamp, lat, lon, speed_kmh, trip_id))
-        if len(points) < 2:
-            dropped += 1
-            continue
-        points.sort(key=lambda p: p.timestamp)
-        for a, b in zip(points, points[1:]):
-            if a.timestamp == b.timestamp:
-                raise FcdParseError(f"track {trip_id!r} has duplicate timestamp {a.timestamp}")
-        trips.append(Trip(id=trip_id, points=tuple(points)))
-    return trips, dropped
+                points.append(_gpx_point(node, trip_id))
+            except ValueError as exc:
+                raise FcdParseError(f"trkpt in track {trip_id!r}: {exc}") from exc
+        tracks.append((trip_id, points))
+    return _assemble_trips(tracks, "track")
+
+
+def _gpx_point(node: ET.Element, trip_id: str) -> GpsPoint:
+    """One ``<trkpt>``; a missing or malformed field raises ValueError."""
+    if "lat" not in node.attrib or "lon" not in node.attrib:
+        raise ValueError("missing lat/lon")
+    lat, lon = float(node.attrib["lat"]), float(node.attrib["lon"])
+    timestamp = None
+    speed_kmh = 0.0
+    for sub in node.iter():
+        tag = _local(sub.tag)
+        if tag == "time" and sub.text:
+            timestamp = _iso_to_epoch(sub.text)
+        elif tag == "speed" and sub.text:
+            speed_kmh = float(sub.text) * 3.6
+    if timestamp is None:
+        raise ValueError("no <time>")
+    return GpsPoint(timestamp, lat, lon, speed_kmh, trip_id)
 
 
 def _epoch_to_iso(ts: float) -> str:

@@ -1,12 +1,14 @@
 """Five-phase quorum consensus over a simulated lossy message bus.
 
-The protocol is the classic primary-backup commit sequence
+The protocol is the normal case of PBFT (Castro & Liskov, OSDI 1999):
 REQUEST -> PRE-PREPARE -> PREPARE -> COMMIT -> REPLY with n >= 3f + 1
-validators.  A node is *prepared* once it holds the pre-prepare plus 2f
-matching prepares from distinct senders, *committed* after 2f + 1 matching
-commits; the client accepts a result after f + 1 matching replies.  View
-changes are out of scope: a faulty primary simply yields a not-decided
-round.
+validators.  A round orders exactly one request and node 0 is its primary,
+so there are no views or sequence numbers: each node holds the one slot
+that the request fills.  A node is *prepared* once it holds the primary's
+pre-prepare plus 2f matching prepares from distinct senders, *committed*
+after 2f + 1 matching commits; the client accepts a result after f + 1
+matching replies.  View changes are out of scope: a faulty primary simply
+yields a not-decided round.
 
 The bus delivers messages through a seeded priority queue with optional
 per-link drop probabilities and random delays, so every run is
@@ -28,18 +30,20 @@ PH_PRE_PREPARE = "PRE-PREPARE"
 PH_PREPARE = "PREPARE"
 PH_COMMIT = "COMMIT"
 PH_REPLY = "REPLY"
-PHASES = (PH_REQUEST, PH_PRE_PREPARE, PH_PREPARE, PH_COMMIT, PH_REPLY)
 
 FAULT_SILENT = "silent"
 FAULT_CORRUPT = "corrupt"
 
+PRIMARY = 0
 CLIENT = -1
+
+# each delivered message is delayed uniformly within [DELAY_MIN_S, DELAY_MAX_S)
+DELAY_MIN_S = 0.0005
+DELAY_MAX_S = 0.005
 
 
 class PbftMessage(NamedTuple):
     phase: str
-    view: int
-    seq: int
     digest: str
     sender: int
     block: Block | None = None
@@ -60,27 +64,14 @@ class ValidatorNode:
         self.f = f
         self.fault: str | None = None
         self.chain: list[Block] = []
-        self.next_seq = 0
-        # per (view, seq): phase -> {sender: digest}
-        self.log: dict[tuple[int, int], dict[str, dict[int, str]]] = {}
-        self.blocks: dict[tuple[int, int], Block] = {}
-        self.sent_prepare: set[tuple[int, int]] = set()
-        self.sent_commit: set[tuple[int, int]] = set()
-        self.executed: set[tuple[int, int]] = set()
-
-    def is_primary(self, view: int) -> bool:
-        return view % self.n == self.id
-
-    def _slot(self, view: int, seq: int) -> dict[str, dict[int, str]]:
-        slot = self.log.get((view, seq))
-        if slot is None:
-            slot = self.log[(view, seq)] = {ph: {} for ph in PHASES}
-        return slot
-
-    def _accepted(self, view: int, seq: int) -> tuple[dict[str, dict[int, str]], str | None]:
-        """The slot, and the digest the view's primary pre-prepared in it."""
-        slot = self._slot(view, seq)
-        return slot, slot[PH_PRE_PREPARE].get(view % self.n)
+        # what the primary pre-prepared: the digest and the block it certifies
+        self.digest: str | None = None
+        self.block: Block | None = None
+        # votes as {sender: digest}, so each sender counts once
+        self.prepares: dict[int, str] = {}
+        self.commits: dict[int, str] = {}
+        self.sent_prepare = False
+        self.sent_commit = False
 
     def _broadcast(self, msg: PbftMessage) -> list[tuple[int, PbftMessage]]:
         return [(peer, msg) for peer in range(self.n) if peer != self.id]
@@ -88,89 +79,60 @@ class ValidatorNode:
     def on_message(self, msg: PbftMessage) -> list[tuple[int, PbftMessage]]:
         if self.fault == FAULT_SILENT:
             return []
-        phase, view, seq = msg.phase, msg.view, msg.seq
+        phase = msg.phase
 
-        if phase == PH_PREPARE or phase == PH_COMMIT:
-            slot = self._slot(view, seq)
-            slot[phase][msg.sender] = msg.digest
-            out = self._advance(view, seq, slot)
+        if phase == PH_PREPARE:
+            self.prepares[msg.sender] = msg.digest
+            out = self._advance()
+
+        elif phase == PH_COMMIT:
+            self.commits[msg.sender] = msg.digest
+            out = self._advance()
 
         elif phase == PH_REQUEST:
-            if not self.is_primary(view):
+            if self.id != PRIMARY:
                 return []
-            seq = self.next_seq
-            self.next_seq += 1
-            self._slot(view, seq)[PH_PRE_PREPARE][self.id] = msg.digest
-            self.blocks[(view, seq)] = msg.block
-            out = self._broadcast(
-                PbftMessage(PH_PRE_PREPARE, view, seq, msg.digest, self.id, msg.block)
-            )
+            self.digest, self.block = msg.digest, msg.block
+            out = self._broadcast(PbftMessage(PH_PRE_PREPARE, msg.digest, self.id, msg.block))
 
         elif phase == PH_PRE_PREPARE:
-            if msg.sender != view % self.n:
+            if msg.sender != PRIMARY or self.digest is not None:
                 return []
             if msg.block is None or msg.block.block_hash != msg.digest:
                 return []  # digest does not certify the carried block
-            slot = self._slot(view, seq)
-            if msg.sender in slot[PH_PRE_PREPARE]:
-                return []
-            slot[PH_PRE_PREPARE][msg.sender] = msg.digest
-            self.blocks[(view, seq)] = msg.block
-            out = []
-            if (view, seq) not in self.sent_prepare and not self.is_primary(view):
-                self.sent_prepare.add((view, seq))
-                slot[PH_PREPARE][self.id] = msg.digest
-                out = self._broadcast(PbftMessage(PH_PREPARE, view, seq, msg.digest, self.id))
-            out.extend(self._advance(view, seq, slot))
+            # only backups receive a pre-prepare: the primary sends it to its peers
+            self.digest, self.block = msg.digest, msg.block
+            self.sent_prepare = True
+            self.prepares[self.id] = msg.digest
+            out = self._broadcast(PbftMessage(PH_PREPARE, msg.digest, self.id))
+            out.extend(self._advance())
 
         else:
             return []
-        return self._tainted(out) if self.fault == FAULT_CORRUPT else out
+        if self.fault == FAULT_CORRUPT:
+            return [(dst, m._replace(digest=_flip_digest(m.digest))) for dst, m in out]
+        return out
 
-    def prepared(self, view: int, seq: int) -> bool:
-        slot, digest = self._accepted(view, seq)
-        return digest is not None and self._prepared(slot, digest)
+    # matching votes from distinct senders: the vote logs are keyed by sender
+    def prepared(self) -> bool:
+        digest = self.digest
+        return digest is not None and countOf(self.prepares.values(), digest) >= 2 * self.f
 
-    def committed(self, view: int, seq: int) -> bool:
-        slot, digest = self._accepted(view, seq)
-        return digest is not None and self._committed(slot, digest)
+    def committed(self) -> bool:
+        digest = self.digest
+        return digest is not None and countOf(self.commits.values(), digest) >= 2 * self.f + 1
 
-    # matching votes from distinct senders: the phase logs are keyed by sender
-    def _prepared(self, slot: dict[str, dict[int, str]], digest: str) -> bool:
-        return countOf(slot[PH_PREPARE].values(), digest) >= 2 * self.f
-
-    def _committed(self, slot: dict[str, dict[int, str]], digest: str) -> bool:
-        return countOf(slot[PH_COMMIT].values(), digest) >= 2 * self.f + 1
-
-    def _advance(
-        self, view: int, seq: int, slot: dict[str, dict[int, str]]
-    ) -> list[tuple[int, PbftMessage]]:
-        """Messages that the votes now in ``slot`` (of ``(view, seq)``) call for."""
-        digest = slot[PH_PRE_PREPARE].get(view % self.n)
-        if digest is None:
-            return []
-        key = (view, seq)
-        if key not in self.sent_commit and self._prepared(slot, digest):
-            self.sent_commit.add(key)
-            slot[PH_COMMIT][self.id] = digest
-            out = self._broadcast(PbftMessage(PH_COMMIT, view, seq, digest, self.id))
-            out.extend(self._advance(view, seq, slot))
-            return out
-        if key not in self.executed and self._committed(slot, digest):
-            block = self.blocks.get(key)
-            if block is not None:
-                self.executed.add(key)
-                self.chain.append(block)
-                return [(CLIENT, PbftMessage(PH_REPLY, view, seq, digest, self.id))]
-        return []
-
-    def _tainted(self, out: list[tuple[int, PbftMessage]]) -> list[tuple[int, PbftMessage]]:
-        mangled = []
-        for dst, msg in out:
-            mangled.append(
-                (dst, PbftMessage(msg.phase, msg.view, msg.seq, _flip_digest(msg.digest), msg.sender, msg.block))
-            )
-        return mangled
+    def _advance(self) -> list[tuple[int, PbftMessage]]:
+        """Messages that the votes now logged call for."""
+        out: list[tuple[int, PbftMessage]] = []
+        if not self.sent_commit and self.prepared():
+            self.sent_commit = True
+            self.commits[self.id] = self.digest
+            out = self._broadcast(PbftMessage(PH_COMMIT, self.digest, self.id))
+        if not self.chain and self.committed():
+            self.chain.append(self.block)
+            out.append((CLIENT, PbftMessage(PH_REPLY, self.digest, self.id)))
+        return out
 
 
 class SimulatedNetwork:
@@ -180,14 +142,12 @@ class SimulatedNetwork:
         self,
         seed: int = 0,
         default_drop: float = 0.0,
-        delay_range: tuple[float, float] = (0.0005, 0.005),
         link_drop: dict[tuple[int, int], float] | None = None,
     ) -> None:
         if not 0.0 <= default_drop <= 1.0:
             raise ValueError("default_drop must be in [0, 1]")
         self.rng = random.Random(seed)
         self.default_drop = default_drop
-        self.delay_range = delay_range
         self.link_drop = dict(link_drop or {})
         self.now = 0.0
         self.sent = 0
@@ -205,8 +165,8 @@ class SimulatedNetwork:
         if draw() < drop:
             self.dropped += 1
             return
-        lo, hi = self.delay_range
-        delay = lo + (hi - lo) * draw()  # Random.uniform(lo, hi), without the call
+        # Random.uniform(DELAY_MIN_S, DELAY_MAX_S), without the call
+        delay = DELAY_MIN_S + (DELAY_MAX_S - DELAY_MIN_S) * draw()
         self._counter += 1
         heapq.heappush(self._queue, (self.now + delay, self._counter, dst, msg))
 
@@ -218,11 +178,8 @@ class SimulatedNetwork:
             if dst == CLIENT:
                 client.on_reply(msg)
                 continue
-            node = nodes.get(dst)
-            if node is None:
-                continue
-            for next_dst, next_msg in node.on_message(msg):
-                send(node.id, next_dst, next_msg)
+            for next_dst, next_msg in nodes[dst].on_message(msg):
+                send(dst, next_dst, next_msg)
 
 
 class Client:
@@ -237,11 +194,9 @@ class Client:
         if msg.phase != PH_REPLY:
             return
         self.replies[msg.sender] = msg.digest
-        counts: dict[str, int] = {}
-        for digest in self.replies.values():
-            counts[digest] = counts.get(digest, 0) + 1
-            if counts[digest] >= self.f + 1 and self.accepted is None:
-                self.accepted = digest
+        # only this digest's count grew, so only it can have reached f + 1
+        if self.accepted is None and countOf(self.replies.values(), msg.digest) >= self.f + 1:
+            self.accepted = msg.digest
 
 
 @dataclass(frozen=True)
@@ -263,7 +218,6 @@ def run_consensus(
     n: int = 4,
     f: int = 1,
     seed: int = 0,
-    view: int = 0,
     faults: dict[int, str] | None = None,
     network: SimulatedNetwork | None = None,
 ) -> ConsensusResult:
@@ -274,7 +228,6 @@ def run_consensus(
         n: cluster size; must satisfy n >= 3f + 1.
         f: tolerated fault count.
         seed: drives the bus when no explicit ``network`` is given.
-        view: fixed view for the round; the primary is ``view % n``.
         faults: node id -> "silent" | "corrupt" for at most f nodes.
         network: preconfigured bus (e.g. with per-link drop schedules).
 
@@ -298,15 +251,13 @@ def run_consensus(
     net = network if network is not None else SimulatedNetwork(seed=seed)
     client = Client(f)
 
-    primary = view % n
-    net.send(CLIENT, primary, PbftMessage(PH_REQUEST, view, 0, block.block_hash, CLIENT, block))
+    net.send(CLIENT, PRIMARY, PbftMessage(PH_REQUEST, block.block_hash, CLIENT, block))
     net.run(nodes, client)
 
-    appended = {i: bool(nodes[i].chain) for i in range(n)}
     return ConsensusResult(
         decided=client.accepted is not None,
         accepted_digest=client.accepted,
-        appended=appended,
+        appended={i: bool(node.chain) for i, node in nodes.items()},
         replies=len(client.replies),
         nodes=nodes,
         network=net,
@@ -325,8 +276,6 @@ class ValidatorCluster:
         self.rounds = 0
 
     def propose(self, block: Block) -> bool:
-        result = run_consensus(
-            block, n=self.n, f=self.f, seed=self.seed + self.rounds
-        )
+        result = run_consensus(block, n=self.n, f=self.f, seed=self.seed + self.rounds)
         self.rounds += 1
         return result.decided

@@ -263,6 +263,26 @@ def test_anchor_duplicate_rejected(capsys, anchored, tmp_path):
     assert (_tree(vol), ledger.read_bytes()) == before
 
 
+class UndecidedCluster:
+    def propose(self, block):
+        return False
+
+
+def test_undecided_round_writes_nothing(tmp_path):
+    vol, ledger = tmp_path / "vol", tmp_path / "chain.txt"
+    volume, chain = create_volume(vol, n_bricks=3, replica_count=2), Chain()
+    before = _tree(vol)
+    with pytest.raises(ValueError, match="^anchor rejected: consensus round did not decide$"):
+        cli._anchor(
+            volume, vol, chain, ledger, UndecidedCluster(),
+            logical="r.csv", data=b"report\n", meta={}, submitter="cli", timestamp=0.0,
+        )
+    # the round decides before the store is written: no blob, index row or ledger
+    assert _tree(vol) == before
+    assert not ledger.exists()
+    assert chain.blocks == []
+
+
 def test_anchor_meta_needs_equals(capsys, tmp_path):
     report = tmp_path / "r.csv"
     report.write_text("x")

@@ -193,6 +193,39 @@ def test_gpx_missing_time_rejected():
         parse_gpx(gpx)
 
 
+@pytest.mark.parametrize(
+    "trkpt, message",
+    [
+        ('<trkpt lat="95" lon="16.0"><time>2024-01-01T00:00:00Z</time></trkpt>',
+         "lat out of range"),
+        ('<trkpt lat="48.0" lon="16.0"><time>yesterday</time></trkpt>', "yesterday"),
+        ('<trkpt lat="48.0" lon="16.0"><time>2024-01-01T00:00:00Z</time>'
+         "<extensions><speed>fast</speed></extensions></trkpt>", "fast"),
+    ],
+    ids=["lat-95", "time-yesterday", "speed-fast"],
+)
+def test_gpx_malformed_point_is_a_parse_error(trkpt, message):
+    gpx = (
+        '<gpx version="1.1"><trk><name>bad</name><trkseg>'
+        f"{trkpt}"
+        '<trkpt lat="48.1" lon="16.1"><time>2024-01-01T00:01:00Z</time></trkpt>'
+        "</trkseg></trk></gpx>"
+    )
+    with pytest.raises(FcdParseError, match=f"trkpt in track 'bad': .*{message}"):
+        parse_gpx(gpx)
+
+
+def test_gpx_duplicate_timestamp_rejected():
+    gpx = (
+        '<gpx version="1.1"><trk><name>twice</name><trkseg>'
+        '<trkpt lat="48.0" lon="16.0"><time>2024-01-01T00:00:00Z</time></trkpt>'
+        '<trkpt lat="48.1" lon="16.1"><time>2024-01-01T00:00:00Z</time></trkpt>'
+        "</trkseg></trk></gpx>"
+    )
+    with pytest.raises(FcdParseError, match="track 'twice' has duplicate timestamp"):
+        parse_gpx(gpx)
+
+
 def test_gpx_invalid_xml_rejected():
     with pytest.raises(FcdParseError, match="invalid GPX XML"):
         parse_gpx("<gpx><trk>")

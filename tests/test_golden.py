@@ -1,8 +1,8 @@
-"""Byte-for-byte outputs of seeded CLI runs.
+"""Byte-for-byte outputs of seeded CLI runs and consensus rounds.
 
 The hashes pin the imputed CSV, the simulate report and calibration line,
-and the ledger a workflow leaves behind, so a speedup that moves any output
-byte fails here.
+the ledger a workflow leaves behind, and the transcript of seeded PBFT
+rounds, so a speedup or rewrite that moves any output byte fails here.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ import pytest
 
 from fleetchain import cli
 from fleetchain.fcd import serialize_fcd
+from fleetchain.ledger import ZERO_HASH, anchor_tx, make_block
+from fleetchain.pbft import FAULT_CORRUPT, FAULT_SILENT, SimulatedNetwork, run_consensus
+from fleetchain.store import ContentRef
 from fleetchain.synth import synthetic_trip
 
 DEMO_CFG = Path(__file__).resolve().parent.parent / "configs" / "demo.cfg"
@@ -69,3 +72,32 @@ def test_workflow_ledger_is_pinned(capsys, tmp_path):
     ]
     chain = (workdir / "chain.txt").read_bytes()
     assert sha256(chain) == "2cd1d69feddc7fbece3333a18dae751d7e20ea60202968d53f3a423e1764ed9d"
+
+
+def test_consensus_transcript_is_pinned():
+    # 24 seeds x 5 fault cases x 3 drop rates x 2 cluster shapes = 720 rounds
+    lines = []
+    for n, f in ((4, 1), (7, 2)):
+        fault_cases = [
+            {}, {1: FAULT_SILENT}, {0: FAULT_SILENT}, {n - 1: FAULT_CORRUPT}, {0: FAULT_CORRUPT},
+        ]
+        for seed in range(24):
+            tag = f"r{n}-{seed}"
+            ref = ContentRef(f"reports/{tag}.csv", sha256(tag), len(tag), ("brick-00",))
+            tx = anchor_tx(ref, {"kind": "report"}, "gold", float(seed))
+            block = make_block(seed, ZERO_HASH, [tx])
+            for faults in fault_cases:
+                for drop in (0.0, 0.1, 0.3):
+                    net = SimulatedNetwork(seed=seed * 31 + n, default_drop=drop)
+                    res = run_consensus(block, n=n, f=f, faults=faults, network=net)
+                    chains = sorted(
+                        (nid, [b.block_hash for b in chain])
+                        for nid, chain in res.honest_chains().items()
+                    )
+                    lines.append(repr((
+                        res.decided, res.accepted_digest, sorted(res.appended.items()),
+                        res.replies, net.sent, net.dropped, repr(net.now), chains,
+                    )))
+    assert len(lines) == 720
+    digest = sha256("\n".join(lines))
+    assert digest == "b307c2bd49cda7cfe60762471be8e10d2e3d71ac897394ac4847328608d66d12"

@@ -120,21 +120,21 @@ def test_backup_walks_the_phases():
     digest = block.block_hash
     node = ValidatorNode(1, n=4, f=1)
 
-    out = node.on_message(PbftMessage(PH_PRE_PREPARE, 0, 0, digest, 0, block))
+    out = node.on_message(PbftMessage(PH_PRE_PREPARE, digest, 0, block))
     # accepted: logs its own prepare and broadcasts it to the other three
     assert [(dst, m.phase) for dst, m in out] == [(0, PH_PREPARE), (2, PH_PREPARE), (3, PH_PREPARE)]
-    assert not node.prepared(0, 0)
+    assert not node.prepared()
 
-    out = node.on_message(PbftMessage(PH_PREPARE, 0, 0, digest, 2))
+    out = node.on_message(PbftMessage(PH_PREPARE, digest, 2))
     # own prepare + one peer = 2f matching: prepared, so commit goes out
-    assert node.prepared(0, 0)
+    assert node.prepared()
     assert [(dst, m.phase) for dst, m in out] == [(0, PH_COMMIT), (2, PH_COMMIT), (3, PH_COMMIT)]
-    assert not node.committed(0, 0)
+    assert not node.committed()
 
-    node.on_message(PbftMessage(PH_COMMIT, 0, 0, digest, 0))
-    assert not node.committed(0, 0)  # own + 1 peer = 2 < 2f + 1
-    out = node.on_message(PbftMessage(PH_COMMIT, 0, 0, digest, 3))
-    assert node.committed(0, 0)
+    node.on_message(PbftMessage(PH_COMMIT, digest, 0))
+    assert not node.committed()  # own + 1 peer = 2 < 2f + 1
+    out = node.on_message(PbftMessage(PH_COMMIT, digest, 3))
+    assert node.committed()
     assert node.chain == [block]
     assert [(dst, m.phase) for dst, m in out] == [(CLIENT, PH_REPLY)]
 
@@ -142,7 +142,7 @@ def test_backup_walks_the_phases():
 def test_backup_rejects_pre_prepare_from_non_primary():
     block = proposal()
     node = ValidatorNode(2, n=4, f=1)
-    assert node.on_message(PbftMessage(PH_PRE_PREPARE, 0, 0, block.block_hash, 3, block)) == []
+    assert node.on_message(PbftMessage(PH_PRE_PREPARE, block.block_hash, 3, block)) == []
     assert not node.sent_prepare
 
 
@@ -150,19 +150,19 @@ def test_backup_rejects_digest_that_does_not_certify_block():
     block = proposal()
     node = ValidatorNode(1, n=4, f=1)
     wrong = "f" * 64
-    assert node.on_message(PbftMessage(PH_PRE_PREPARE, 0, 0, wrong, 0, block)) == []
-    assert node.on_message(PbftMessage(PH_PRE_PREPARE, 0, 0, block.block_hash, 0, None)) == []
+    assert node.on_message(PbftMessage(PH_PRE_PREPARE, wrong, 0, block)) == []
+    assert node.on_message(PbftMessage(PH_PRE_PREPARE, block.block_hash, 0, None)) == []
 
 
 def test_client_accepts_at_f_plus_one_matching():
     client = Client(f=1)
-    client.on_reply(PbftMessage(PH_REPLY, 0, 0, "aa", 0))
+    client.on_reply(PbftMessage(PH_REPLY, "aa", 0))
     assert client.accepted is None
-    client.on_reply(PbftMessage(PH_REPLY, 0, 0, "bb", 1))
+    client.on_reply(PbftMessage(PH_REPLY, "bb", 1))
     assert client.accepted is None  # two replies, but no two match
-    client.on_reply(PbftMessage(PH_REPLY, 0, 0, "bb", 2))
+    client.on_reply(PbftMessage(PH_REPLY, "bb", 2))
     assert client.accepted == "bb"
-    client.on_reply(PbftMessage(PH_COMMIT, 0, 0, "cc", 3))  # not a reply
+    client.on_reply(PbftMessage(PH_COMMIT, "cc", 3))  # not a reply
     assert client.accepted == "bb"
 
 
