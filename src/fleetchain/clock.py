@@ -13,11 +13,7 @@ MONOTONIC = time.monotonic
 
 
 class FakeClock:
-    """Deterministic clock: advances by ``step`` on every call.
-
-    ``advance`` inserts extra elapsed time between calls, which lets a test
-    assign a distinct, hand-computed duration to each measured section.
-    """
+    """Deterministic clock: advances by ``step`` on every call."""
 
     def __init__(self, start: float = 0.0, step: float = 0.0) -> None:
         self.now = float(start)
@@ -29,6 +25,3 @@ class FakeClock:
         self.now += self.step
         self.calls += 1
         return t
-
-    def advance(self, dt: float) -> None:
-        self.now += dt

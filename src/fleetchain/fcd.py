@@ -224,14 +224,16 @@ def _iso_to_epoch(text: str) -> float:
 def parse_gpx(source: str | IO[str]) -> tuple[list[Trip], int]:
     """Convert GPX 1.1 track logs into trips.
 
-    One ``<trk>`` becomes one trip (track segments are merged); the track
-    name is the trip id.  ``<time>`` is required per point; an optional
+    The track name is the trip id (``trkN`` for the N-th track if it has
+    none).  Tracks are grouped by trip id, as :func:`parse_fcd` groups rows,
+    so the segments of one ``<trk>`` and every ``<trk>`` of the same name
+    merge into one trip.  ``<time>`` is required per point; an optional
     ``<extensions>`` speed in m/s is converted to km/h, else speed is 0.
-    Tracks with fewer than two points are dropped and counted.
+    Trips with fewer than two points are dropped and counted.
 
     Raises:
         FcdParseError: on invalid XML, a malformed or out-of-range point, or
-            a track with two points at the same time.
+            a trip with two points at the same time.
     """
     text = source if isinstance(source, str) else source.read()
     try:
@@ -239,17 +241,17 @@ def parse_gpx(source: str | IO[str]) -> tuple[list[Trip], int]:
     except ET.ParseError as exc:
         raise FcdParseError(f"invalid GPX XML: {exc}") from exc
 
-    tracks: list[tuple[str, list[GpsPoint]]] = []
+    tracks: dict[str, list[GpsPoint]] = {}
     trk_index = 0
     for trk in root.iter():
         if _local(trk.tag) != "trk":
             continue
         trk_index += 1
         trip_id = f"trk{trk_index}"
-        points: list[GpsPoint] = []
         for child in trk:
             if _local(child.tag) == "name" and child.text and child.text.strip():
                 trip_id = child.text.strip()
+        points = tracks.setdefault(trip_id, [])
         for node in trk.iter():
             if _local(node.tag) != "trkpt":
                 continue
@@ -257,8 +259,7 @@ def parse_gpx(source: str | IO[str]) -> tuple[list[Trip], int]:
                 points.append(_gpx_point(node, trip_id))
             except ValueError as exc:
                 raise FcdParseError(f"trkpt in track {trip_id!r}: {exc}") from exc
-        tracks.append((trip_id, points))
-    return _assemble_trips(tracks, "track")
+    return _assemble_trips(tracks.items(), "track")
 
 
 def _gpx_point(node: ET.Element, trip_id: str) -> GpsPoint:

@@ -1,13 +1,13 @@
 """Three-truck convoy rollout: travel times and cumulated emissions.
 
-Two scenarios share one densified trajectory.  In the connected scenario the
-convoy drives the speed profile scaled by a cruise uplift factor and each
-position gets a drag-derived emission discount; followers track the leader
-exactly, so per-truck travel times coincide.  In the not-connected scenario
-each truck drives independently with seeded multiplicative speed noise and
-no discounts.
+Two scenarios share one densified trajectory.  The connected convoy is one
+march: it drives the speed profile scaled by a cruise uplift factor, its
+followers track the leader exactly, so all three trucks share its steps and
+travel time, and only each position's drag-derived emission discount sets
+them apart.  In the not-connected scenario each truck marches on its own
+with seeded multiplicative speed noise and no discounts.
 
-Every rollout reads the ``path_profile`` that imputation recorded on the
+Every march reads the ``path_profile`` that imputation recorded on the
 trajectory, so the rollouts of one calibration or scenario pair compute no
 distances.
 
@@ -21,12 +21,17 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from .impute import ImputedTrajectory
 
 SCENARIO_CONNECTED = "connected"
 SCENARIO_NOT_CONNECTED = "not_connected"
+
+# truck ids in convoy order: leader first
+CONNECTED_TRUCKS = ("SAL.Tr1", "AF.Tr2", "AF.Tr3")
+NOT_CONNECTED_TRUCKS = ("Tr1", "Tr2", "Tr3")
 
 # minimum rollout speed; keeps a stop in the profile from stalling the march
 _CRAWL_MPS = 0.1
@@ -37,22 +42,9 @@ class CalibrationError(ValueError):
 
 
 @dataclass(frozen=True)
-class TruckSpec:
-    """One truck in a three-vehicle convoy."""
-
-    id: str
-    position_in_platoon: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.position_in_platoon <= 3:
-            raise ValueError(f"position_in_platoon must be 1..3, got {self.position_in_platoon}")
-
-
-@dataclass(frozen=True)
 class PlatoonConfig:
-    """Scenario knobs; ``connected`` selects which branch a rollout takes."""
+    """Scenario knobs shared by the connected and not-connected rollouts."""
 
-    connected: bool = True
     speed_factor_connected: float = 1.21
     drag_reduction: tuple[float, float, float] = (0.66, 0.63, 0.60)
     step_s: float = 1.0
@@ -122,72 +114,80 @@ class EfficiencyReport:
         return sum(r.travel_time_s for _, r in self.per_truck) / len(self.per_truck)
 
 
-def platoon_trucks() -> tuple[TruckSpec, TruckSpec, TruckSpec]:
-    """Connected convoy: one leader, two followers."""
-    return (
-        TruckSpec("SAL.Tr1", 1),
-        TruckSpec("AF.Tr2", 2),
-        TruckSpec("AF.Tr3", 3),
-    )
+def _march(
+    profile: tuple[Sequence[float], Sequence[float]],
+    step_s: float,
+    em: EmissionModel,
+    drags: Sequence[float],
+    scale: Callable[[], float],
+) -> tuple[int, list[float]]:
+    """Fixed-step march along ``profile``; speeds are scaled by ``scale()``.
 
-
-def conventional_trucks() -> tuple[TruckSpec, TruckSpec, TruckSpec]:
-    """Same three vehicles driving independently."""
-    return (
-        TruckSpec("Tr1", 1),
-        TruckSpec("Tr2", 2),
-        TruckSpec("Tr3", 3),
-    )
+    Returns the step count and, per drag factor, the emissions cumulated at
+    that factor; the emission rate is computed once per step.
+    """
+    cum, speeds = profile
+    total = cum[-1]
+    n_last = len(cum) - 1
+    emitted = [0.0] * len(drags)
+    s = 0.0
+    steps = 0
+    while s < total:
+        i = bisect_right(cum, s) - 1
+        v = max(speeds[min(i, n_last)] * scale(), _CRAWL_MPS)
+        rate = em.rate_mg_s(v)
+        for k, drag in enumerate(drags):
+            emitted[k] += rate * drag * step_s
+        s += v * step_s
+        steps += 1
+    return steps, emitted
 
 
 def simulate_convoy(
     trajectory: ImputedTrajectory,
-    trucks: Sequence[TruckSpec],
     cfg: PlatoonConfig,
     em: EmissionModel,
     *,
+    connected: bool,
     seed: int = 0,
     route_label: str = "",
     cumulative: bool = False,
 ) -> EfficiencyReport:
     """Fixed-step kinematic rollout of three trucks along the trajectory.
 
-    Travel time is quantized to whole steps.  Noise draws in the
-    not-connected branch come from a per-truck stream derived from ``seed``,
-    so reports are reproducible and trucks are mutually independent.
+    A connected convoy is one march whose steps the three trucks share,
+    each cumulating emissions at its position's drag factor.  Not connected,
+    each truck marches alone, drawing its speed noise from a stream derived
+    from ``seed`` and its id, so reports are reproducible and trucks are
+    mutually independent.  Travel time is quantized to whole steps.
     """
-    if len(trucks) != 3:
-        raise ValueError(f"expected 3 trucks, got {len(trucks)}")
-    cum, speeds = trajectory.path_profile
-    total = cum[-1]
-    if total <= 0.0:
+    profile = trajectory.path_profile
+    if profile[0][-1] <= 0.0:
         raise ValueError("trajectory has zero path length")
-    n_last = len(cum) - 1
+    if connected:
+        sf = cfg.speed_factor_connected
+        steps, emitted = _march(profile, cfg.step_s, em, cfg.drag_reduction, lambda: sf)
+        marches = [(steps, e) for e in emitted]
+        truck_ids = CONNECTED_TRUCKS
+    else:
+        marches = []
+        for tid in NOT_CONNECTED_TRUCKS:
+            # the stream name fixes every draw, so it is part of the output
+            rng = random.Random(f"{seed}:False:{tid}")
+            steps, (e,) = _march(
+                profile, cfg.step_s, em, (1.0,), partial(rng.uniform, *cfg.noise_range)
+            )
+            marches.append((steps, e))
+        truck_ids = NOT_CONNECTED_TRUCKS
 
     results = []
-    for truck in trucks:
-        rng = random.Random(f"{seed}:{cfg.connected}:{truck.id}")
-        drag = cfg.drag_reduction[truck.position_in_platoon - 1] if cfg.connected else 1.0
-        s = 0.0
-        steps = 0
-        emitted = 0.0
-        while s < total:
-            i = bisect_right(cum, s) - 1
-            v = speeds[min(i, n_last)]
-            if cfg.connected:
-                v *= cfg.speed_factor_connected
-            else:
-                v *= rng.uniform(*cfg.noise_range)
-            v = max(v, _CRAWL_MPS)
-            emitted += em.rate_mg_s(v) * drag * cfg.step_s
-            s += v * cfg.step_s
-            steps += 1
+    for tid, (steps, e) in zip(truck_ids, marches):
         travel_time = steps * cfg.step_s
-        value = emitted if cumulative else emitted / travel_time
-        results.append((truck.id, TruckResult(travel_time_s=travel_time, emissions=value)))
+        value = e if cumulative else e / travel_time
+        results.append((tid, TruckResult(travel_time_s=travel_time, emissions=value)))
 
     return EfficiencyReport(
-        scenario=SCENARIO_CONNECTED if cfg.connected else SCENARIO_NOT_CONNECTED,
+        scenario=SCENARIO_CONNECTED if connected else SCENARIO_NOT_CONNECTED,
         route_label=route_label,
         trip_id=trajectory.trip_id,
         per_truck=tuple(results),
@@ -205,25 +205,18 @@ def run_scenarios(
     cumulative: bool = False,
 ) -> tuple[EfficiencyReport, EfficiencyReport]:
     """Connected and not-connected reports for one trajectory."""
-    connected = simulate_convoy(
-        trajectory,
-        platoon_trucks(),
-        replace(cfg, connected=True),
-        em,
-        seed=seed,
-        route_label=route_label,
-        cumulative=cumulative,
+    return tuple(
+        simulate_convoy(
+            trajectory,
+            cfg,
+            em,
+            connected=connected,
+            seed=seed,
+            route_label=route_label,
+            cumulative=cumulative,
+        )
+        for connected in (True, False)
     )
-    independent = simulate_convoy(
-        trajectory,
-        conventional_trucks(),
-        replace(cfg, connected=False),
-        em,
-        seed=seed,
-        route_label=route_label,
-        cumulative=cumulative,
-    )
-    return connected, independent
 
 
 def travel_time_ratio(connected: EfficiencyReport, independent: EfficiencyReport) -> float:
@@ -278,22 +271,12 @@ def calibrate(
         CalibrationError: unreachable targets (including a blend that would
             push a factor above 1 or to 0).
     """
-    independent = simulate_convoy(
-        trajectory,
-        conventional_trucks(),
-        replace(cfg, connected=False),
-        em,
-        seed=seed,
-    )
+    independent = simulate_convoy(trajectory, cfg, em, connected=False, seed=seed)
     nc_time = independent.mean_travel_time_s()
 
     def time_ratio_at(sf: float) -> float:
         rep = simulate_convoy(
-            trajectory,
-            platoon_trucks(),
-            replace(cfg, connected=True, speed_factor_connected=sf),
-            em,
-            seed=seed,
+            trajectory, replace(cfg, speed_factor_connected=sf), em, connected=True
         )
         return rep.mean_travel_time_s() / nc_time
 
@@ -324,15 +307,9 @@ def calibrate(
     # toward (1, 1, 1) solves the target ratio exactly
     undiscounted = simulate_convoy(
         trajectory,
-        platoon_trucks(),
-        replace(
-            cfg,
-            connected=True,
-            speed_factor_connected=speed_factor,
-            drag_reduction=(1.0, 1.0, 1.0),
-        ),
+        replace(cfg, speed_factor_connected=speed_factor, drag_reduction=(1.0, 1.0, 1.0)),
         em,
-        seed=seed,
+        connected=True,
     )
     rates = [r.emissions for _, r in undiscounted.per_truck]
     target_sum = targets.emission_sum_ratio * independent.emissions_sum

@@ -336,19 +336,14 @@ class Volume:
     def fsync(self, path: str, digest: str | None = None) -> None:
         """Flush the blob behind ``path`` on every live replica.  ``digest``
         (default: the replica's current entry) names the version, as the
-        digest of the write this follows; a replica without it is skipped."""
-        live = self._live_replicas(path)
+        digest of the write this follows; a replica without that version's
+        blob is skipped, and :class:`NotFoundError` is raised if every one is."""
         found = False
-        for brick in live:
-            if digest is None:
-                entry = brick.index.get(path)
-                if entry is None:
-                    continue
-                blob = f"{brick.blob_dir}/{entry[0]}"
-            else:
-                blob = f"{brick.blob_dir}/{digest}"
-                if not os.path.isfile(blob):
-                    continue
+        for brick in self._live_replicas(path):
+            want = brick.index.get(path, (None,))[0] if digest is None else digest
+            blob = f"{brick.blob_dir}/{want}"
+            if want is None or not os.path.isfile(blob):
+                continue
             found = True
 
             def _do(blob: str = blob) -> None:

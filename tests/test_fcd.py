@@ -226,6 +226,31 @@ def test_gpx_duplicate_timestamp_rejected():
         parse_gpx(gpx)
 
 
+def two_tracks(name, first_times, second_times):
+    def trk(times):
+        points = "".join(
+            f'<trkpt lat="48.{i}" lon="16.{i}"><time>2024-01-01T00:{t}Z</time></trkpt>'
+            for i, t in enumerate(times)
+        )
+        return f"<trk><name>{name}</name><trkseg>{points}</trkseg></trk>"
+
+    return f'<gpx version="1.1">{trk(first_times)}{trk(second_times)}</gpx>'
+
+
+def test_gpx_tracks_of_one_name_share_a_timeline():
+    gpx = two_tracks("same", ["00:00", "01:00"], ["00:00", "01:00"])
+    with pytest.raises(FcdParseError, match="track 'same' has duplicate timestamp"):
+        parse_gpx(gpx)
+
+
+def test_gpx_tracks_of_one_name_are_one_trip():
+    trips, dropped = parse_gpx(two_tracks("same", ["02:00", "03:00"], ["00:00", "01:00"]))
+    assert dropped == 0
+    assert [t.id for t in trips] == ["same"]
+    assert [p.timestamp - 1704067200.0 for p in trips[0].points] == [0.0, 60.0, 120.0, 180.0]
+    assert parse_fcd(serialize_fcd(trips)) == (trips, 0)
+
+
 def test_gpx_invalid_xml_rejected():
     with pytest.raises(FcdParseError, match="invalid GPX XML"):
         parse_gpx("<gpx><trk>")

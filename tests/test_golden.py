@@ -1,8 +1,9 @@
 """Byte-for-byte outputs of seeded CLI runs and consensus rounds.
 
 The hashes pin the imputed CSV, the simulate report and calibration line,
-the ledger a workflow leaves behind, and the transcript of seeded PBFT
-rounds, so a speedup or rewrite that moves any output byte fails here.
+the ledger a workflow leaves behind, the convoy rollouts and calibrations
+over a grid of trips and configs, and the transcript of seeded PBFT rounds,
+so a speedup or rewrite that moves any output byte fails here.
 """
 
 from __future__ import annotations
@@ -14,8 +15,17 @@ import pytest
 
 from fleetchain import cli
 from fleetchain.fcd import serialize_fcd
+from fleetchain.impute import impute_trip
 from fleetchain.ledger import ZERO_HASH, anchor_tx, make_block
 from fleetchain.pbft import FAULT_CORRUPT, FAULT_SILENT, SimulatedNetwork, run_consensus
+from fleetchain.platoon import (
+    CalibrationError,
+    CalibrationTargets,
+    EmissionModel,
+    PlatoonConfig,
+    calibrate,
+    run_scenarios,
+)
 from fleetchain.store import ContentRef
 from fleetchain.synth import synthetic_trip
 
@@ -72,6 +82,42 @@ def test_workflow_ledger_is_pinned(capsys, tmp_path):
     ]
     chain = (workdir / "chain.txt").read_bytes()
     assert sha256(chain) == "2cd1d69feddc7fbece3333a18dae751d7e20ea60202968d53f3a423e1764ed9d"
+
+
+def test_convoy_rollouts_are_pinned():
+    # 3 trips x 4 configs x 2 emission models x 2 seeds x 2 report forms,
+    # plus one calibration per trip (or the error that refuses it)
+    trajectories = [
+        impute_trip(synthetic_trip(f"g{seed}", length_km=km, n_points=n, seed=seed), factor=f)
+        for seed, km, n, f in ((1, 0.4, 8, 3), (5, 1.2, 15, 4), (9, 2.0, 25, 2))
+    ]
+    configs = [
+        PlatoonConfig(),
+        PlatoonConfig(step_s=0.5, noise_range=(0.8, 1.0)),
+        PlatoonConfig(speed_factor_connected=0.8, drag_reduction=(0.9, 0.8, 0.7), step_s=2.5,
+                      noise_range=(0.95, 1.05)),
+        PlatoonConfig(speed_factor_connected=1.5, drag_reduction=(1.0, 1.0, 0.5),
+                      noise_range=(1.0, 1.0)),
+    ]
+    models = [EmissionModel(), EmissionModel(c0=5.0, c1=3.0, c2=0.1, idle_floor=12.0)]
+    targets = CalibrationTargets(travel_time_ratio=0.7833, emission_sum_ratio=0.8251)
+    lines = []
+    for traj in trajectories:
+        for cfg in configs:
+            for em in models:
+                for seed in (0, 17):
+                    for cumulative in (False, True):
+                        lines.append(repr(run_scenarios(
+                            traj, cfg, em, seed=seed, route_label="R", cumulative=cumulative,
+                        )))
+        try:
+            calibrated = calibrate(traj, PlatoonConfig(), models[1], targets, seed=3)
+            lines.append(repr((calibrated.speed_factor_connected, calibrated.drag_reduction)))
+        except CalibrationError as exc:
+            lines.append(repr(exc))
+    assert len(lines) == 3 * (4 * 2 * 2 * 2 + 1)
+    digest = sha256("\n".join(lines))
+    assert digest == "dbb5466ed3184f4a4d95075bbe43966a1d53c9deced5fb20f5fe7142c1124bc3"
 
 
 def test_consensus_transcript_is_pinned():

@@ -15,11 +15,8 @@ from fleetchain.platoon import (
     CalibrationTargets,
     EmissionModel,
     PlatoonConfig,
-    TruckSpec,
     calibrate,
-    conventional_trucks,
     emission_sum_ratio,
-    platoon_trucks,
     report_csv,
     run_scenarios,
     simulate_convoy,
@@ -56,7 +53,7 @@ def test_constant_speed_closed_form():
     # 1000 m at 20 m/s, 1 s steps: 50 steps; rate(20) = 20 + 30 + 20 = 70 mg/s
     traj = flat_trajectory()
     rep = simulate_convoy(
-        traj, platoon_trucks(), identity_cfg(), EM, cumulative=True
+        traj, identity_cfg(), EM, connected=True, cumulative=True
     )
     for _, res in rep.per_truck:
         assert res.travel_time_s == 50.0
@@ -66,7 +63,7 @@ def test_constant_speed_closed_form():
 
 def test_time_averaged_default_equals_rate():
     traj = flat_trajectory()
-    rep = simulate_convoy(traj, platoon_trucks(), identity_cfg(), EM)
+    rep = simulate_convoy(traj, identity_cfg(), EM, connected=True)
     for _, res in rep.per_truck:
         assert math.isclose(res.emissions, 70.0, rel_tol=1e-12)  # mg/s average
 
@@ -74,7 +71,7 @@ def test_time_averaged_default_equals_rate():
 def test_drag_discount_scales_cumulated_emissions():
     traj = flat_trajectory()
     cfg = identity_cfg(drag_reduction=(0.66, 0.63, 0.60))
-    rep = simulate_convoy(traj, platoon_trucks(), cfg, EM, cumulative=True)
+    rep = simulate_convoy(traj, cfg, EM, connected=True, cumulative=True)
     expected = [3500.0 * d for d in (0.66, 0.63, 0.60)]
     got = [res.emissions for _, res in rep.per_truck]
     for g, e in zip(got, expected):
@@ -89,9 +86,9 @@ def test_flat_rate_emits_rate_times_time():
     for factor in (1.0, 0.5):
         rep = simulate_convoy(
             traj,
-            platoon_trucks(),
             identity_cfg(drag_reduction=(factor, factor, factor)),
             flat_em,
+            connected=True,
             cumulative=True,
         )
         for _, res in rep.per_truck:
@@ -101,7 +98,7 @@ def test_flat_rate_emits_rate_times_time():
 
 def test_leader_emits_at_least_each_follower():
     traj = impute_trip(synthetic_trip("ord", length_km=1.5, n_points=25, seed=3), 5.0)
-    rep = simulate_convoy(traj, platoon_trucks(), PlatoonConfig(), EM, seed=1)
+    rep = simulate_convoy(traj, PlatoonConfig(), EM, connected=True, seed=1)
     e1, e2, e3 = [res.emissions for _, res in rep.per_truck]
     assert e1 >= e2 >= e3
 
@@ -109,7 +106,7 @@ def test_leader_emits_at_least_each_follower():
 def test_speed_factor_halves_travel_time():
     traj = flat_trajectory()
     rep = simulate_convoy(
-        traj, platoon_trucks(), identity_cfg(speed_factor_connected=2.0), EM
+        traj, identity_cfg(speed_factor_connected=2.0), EM, connected=True
     )
     assert all(res.travel_time_s == 25.0 for _, res in rep.per_truck)
 
@@ -143,26 +140,31 @@ def test_rollout_deterministic_in_seed():
 
 def test_connected_followers_match_leader_time():
     traj = impute_trip(synthetic_trip("fol", length_km=1.0, n_points=20, seed=8), 5.0)
-    rep = simulate_convoy(traj, platoon_trucks(), PlatoonConfig(), EM, seed=3)
+    rep = simulate_convoy(traj, PlatoonConfig(), EM, connected=True, seed=3)
     times = {res.travel_time_s for _, res in rep.per_truck}
     assert len(times) == 1
 
 
-def test_requires_three_trucks():
-    traj = flat_trajectory()
-    with pytest.raises(ValueError, match="3 trucks"):
-        simulate_convoy(traj, platoon_trucks()[:2], PlatoonConfig(), EM)
+def test_connected_rollout_computes_one_rate_per_step(monkeypatch):
+    # the three connected trucks share one march, so the rate is computed
+    # once per step, not once per truck and step
+    traj = impute_trip(synthetic_trip("one", length_km=1.0, n_points=20, seed=8), 5.0)
+    calls = []
+    rate = EmissionModel.rate_mg_s
+
+    def counting_rate(self, v):
+        calls.append(v)
+        return rate(self, v)
+
+    monkeypatch.setattr(EmissionModel, "rate_mg_s", counting_rate)
+    cfg = PlatoonConfig(step_s=0.5)
+    rep = simulate_convoy(traj, cfg, EM, connected=True)
+    steps = rep.result(rep.truck_ids()[0]).travel_time_s / cfg.step_s
+    assert steps > 50
+    assert len(calls) == steps
 
 
-# --- specs and config validation -------------------------------------------
-
-def test_truck_positions():
-    for trucks in (platoon_trucks(), conventional_trucks()):
-        assert [t.position_in_platoon for t in trucks] == [1, 2, 3]
-    for bad in (0, 4):
-        with pytest.raises(ValueError, match="position"):
-            TruckSpec("x", bad)
-
+# --- config validation -----------------------------------------------------
 
 def test_config_validation():
     with pytest.raises(ValueError, match="drag_reduction"):

@@ -284,6 +284,17 @@ def test_fsync_of_a_named_version(tmp_path):
         reopened.fsync("p", sha256_hex(b"never written"))
 
 
+@pytest.mark.parametrize("by_digest", [False, True])
+def test_fsync_without_any_blob_is_not_found(tmp_path, by_digest):
+    vol, _ = dyadic_volume(tmp_path, replica_count=2)
+    ref = vol.write("p", b"gone")
+    for brick in owner_bricks(vol, "p"):
+        brick.blob_path(ref.digest).unlink()
+    with pytest.raises(NotFoundError, match="'p' not found"):
+        vol.fsync("p", ref.digest if by_digest else None)
+    assert sum(b.stats[FOP_FSYNC].calls for b in vol.bricks.values()) == 0
+
+
 def test_read_is_accounted_as_lookup(tmp_path):
     vol, _ = dyadic_volume(tmp_path)
     ref = vol.write("solo", b"z")
